@@ -20,7 +20,7 @@ from ..solver import SolverConfig, solve, validate
 from .evaluate import evaluate_under
 from .native import ParseError, read_instance, read_solution, write_instance, write_solution
 from .solomon import parse_lilim, parse_solomon
-from .tdgen import DEFAULT_PROFILES, flatten, generate_td
+from .tdgen import flatten, generate_td
 
 
 def _load_instance(path):
@@ -77,8 +77,7 @@ def _cmd_validate(args):
 def _cmd_generate_td(args):
     inst = _load_instance(args.base)
     rng = np.random.default_rng(args.seed)
-    profiles = DEFAULT_PROFILES if args.profiles == "default" else DEFAULT_PROFILES
-    td = generate_td(inst, profiles, rng, regenerate_windows=args.regenerate_windows)
+    td = generate_td(inst, rng=rng, regenerate_windows=args.regenerate_windows)
     write_instance(td, args.output)
     print(f"wrote {args.output}")
     return 0
@@ -163,7 +162,6 @@ def main(argv=None):
 
     p = sub.add_parser("generate-td", help="add speed profiles to a constant instance")
     p.add_argument("base")
-    p.add_argument("--profiles", default="default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--regenerate-windows", action="store_true")
     p.add_argument("-o", "--output", required=True)

@@ -173,17 +173,22 @@ class Atf:
 
     __slots__ = ("ts", "vs", "cost")
 
-    def __init__(self, points, cost=None, validate=True):
-        pts = [(float(t), float(v)) for t, v in points]
-        if not pts:
+    def __init__(self, points=(), cost=None, validate=True, *, ts=None, vs=None):
+        """Breakpoints come as (t, v) pairs, or as parallel lists of floats
+        ts and vs."""
+        if ts is None:
+            ts = []
+            vs = []
+            for t, v in points:
+                ts.append(float(t))
+                vs.append(float(v))
+        if not ts:
             raise ValueError("an ATF needs at least one breakpoint")
-        cleaned = _normalize_points(pts)
-        ts = tuple(p[0] for p in cleaned)
-        vs = tuple(p[1] for p in cleaned)
+        ts, vs = _normalize_points(ts, vs)
         if validate:
             _validate(ts, vs)
-        self.ts = ts
-        self.vs = vs
+        self.ts = tuple(ts)
+        self.vs = tuple(vs)
         self.cost = cost if cost is not None else ZERO_COST
 
     # -- constructors ---------------------------------------------------
@@ -331,37 +336,59 @@ class TravelBounds:
         return f"TravelBounds({self.lo}, {self.hi})"
 
 
-def _normalize_points(pts):
-    """Sort-check, merge coincident abscissae, drop redundant breakpoints."""
-    merged = []
-    for t, v in pts:
-        if merged and t < merged[-1][0] - EPS_T:
+def _normalize_points(ts, vs):
+    """Sort-check, merge coincident abscissae, drop redundant breakpoints.
+
+    Takes parallel lists of floats and returns new parallel lists.
+    """
+    for i in range(1, len(ts)):
+        if ts[i] - ts[i - 1] <= EPS_T:
+            ts, vs = _merge_coincident(ts, vs)
+            break
+    # one pass: clamp sub-epsilon FIFO violations introduced by float
+    # arithmetic, then keep point i-1 unless it is collinear with its
+    # neighbours (the last kept point and the clamped point i)
+    t0, v0 = ts[0], vs[0]
+    out_t = [t0]
+    out_v = [v0]
+    if len(ts) == 1:
+        return out_t, out_v
+    t1, v1 = ts[1], vs[1]
+    if v1 < v0:
+        if v1 < v0 - 1e-6:
+            raise ValueError(f"non-monotone values at t={t1}: {v1} < {v0}")
+        v1 = v0
+    for i in range(2, len(ts)):
+        t2, v2 = ts[i], vs[i]
+        if v2 < v1:
+            if v2 < v1 - 1e-6:
+                raise ValueError(f"non-monotone values at t={t2}: {v2} < {v1}")
+            v2 = v1
+        if abs((v2 - v1) / (t2 - t1) - (v1 - v0) / (t1 - t0)) > EPS_SLOPE:
+            out_t.append(t1)
+            out_v.append(v1)
+            t0, v0 = t1, v1
+        t1, v1 = t2, v2
+    out_t.append(t1)
+    out_v.append(v1)
+    return out_t, out_v
+
+
+def _merge_coincident(ts, vs):
+    mt = [ts[0]]
+    mv = [vs[0]]
+    for i in range(1, len(ts)):
+        t = ts[i]
+        if t < ts[i - 1] - EPS_T:
             raise ValueError("breakpoints must be sorted by t")
-        if merged and t - merged[-1][0] <= EPS_T:
+        if t - ts[i - 1] <= EPS_T:
             # keep the later point so t_max survives intact
-            merged[-1] = (t, v)
+            mt[-1] = t
+            mv[-1] = vs[i]
         else:
-            merged.append((t, v))
-    # clamp sub-epsilon FIFO violations introduced by float arithmetic
-    for i in range(1, len(merged)):
-        t, v = merged[i]
-        pv = merged[i - 1][1]
-        if v < pv:
-            if v < pv - 1e-6:
-                raise ValueError(f"non-monotone values at t={t}: {v} < {pv}")
-            merged[i] = (t, pv)
-    out = [merged[0]]
-    for i in range(1, len(merged) - 1):
-        t0, v0 = out[-1]
-        t1, v1 = merged[i]
-        t2, v2 = merged[i + 1]
-        s0 = (v1 - v0) / (t1 - t0)
-        s1 = (v2 - v1) / (t2 - t1)
-        if abs(s1 - s0) > EPS_SLOPE:
-            out.append(merged[i])
-    if len(merged) > 1:
-        out.append(merged[-1])
-    return out
+            mt.append(t)
+            mv.append(vs[i])
+    return mt, mv
 
 
 def _validate(ts, vs):
@@ -396,27 +423,17 @@ def compose(a1, a2):
     ts2, vs2 = a2.ts, a2.vs
     n2 = len(ts2)
 
-    def a2_exact(u, lo_hint=0):
-        # evaluate a2 with a forward-moving hint; exact at a2's breakpoints
-        if u <= ts2[0]:
-            return vs2[0], 0
-        j = lo_hint
-        while j + 1 < n2 and ts2[j + 1] <= u:
-            j += 1
-        if ts2[j] == u or j == n2 - 1:
-            return vs2[j], j
-        t0, t1 = ts2[j], ts2[j + 1]
-        return vs2[j] + (vs2[j + 1] - vs2[j]) * (u - t0) / (t1 - t0), j
-
-    pts = []
+    out_t = []
+    out_v = []
     hint = 0
     jj = 0  # pointer to the next a2 breakpoint not yet swept past
     for i in range(len(ts1)):
         t = ts1[i]
         if t >= T:
             break
-        v, hint = a2_exact(vs1[i], hint)
-        pts.append((t, v))
+        v, hint = _a2_value(ts2, vs2, vs1[i], hint)
+        out_t.append(t)
+        out_v.append(v)
         # preimages of a2 breakpoints inside this a1 segment
         if i + 1 < len(ts1):
             va, vb = vs1[i], vs1[i + 1]
@@ -427,16 +444,32 @@ def compose(a1, a2):
                     u = ts2[jj]
                     th = ts1[i] + (u - va) * (ts1[i + 1] - ts1[i]) / (vb - va)
                     if th < T:
-                        pts.append((th, vs2[jj]))
+                        out_t.append(th)
+                        out_v.append(vs2[jj])
                     jj += 1
-    vT, _ = a2_exact(a1.eval(T))
-    pts.append((T, vT))
-    if len(pts) == 1:
-        # domain cut left a single point: keep a constant ATF at T
-        pts = [(T, vT)]
+    out_t.append(T)
+    out_v.append(_a2_value(ts2, vs2, a1.eval(T))[0])
 
     cost = _compose_cost(a1, a2, T)
-    return Atf(pts, cost=cost)
+    return Atf(cost=cost, ts=out_t, vs=out_v)
+
+
+def _a2_value(ts2, vs2, u, j=0):
+    """a2(u) and its segment index, for a2 given by its breakpoints.
+
+    Searches forward from segment j (a hint that callers with rising u
+    pass back in); exact at a2's breakpoints; holds the last value past
+    the domain end instead of raising.
+    """
+    if u <= ts2[0]:
+        return vs2[0], 0
+    n2 = len(ts2)
+    while j + 1 < n2 and ts2[j + 1] <= u:
+        j += 1
+    if ts2[j] == u or j == n2 - 1:
+        return vs2[j], j
+    t0, t1 = ts2[j], ts2[j + 1]
+    return vs2[j] + (vs2[j + 1] - vs2[j]) * (u - t0) / (t1 - t0), j
 
 
 def _compose_cost(a1, a2, T):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+from ..plf import EmptyDomain
 from .insertion import Infeasible, apply_insertion, cheapest_insertion
 from .model import Solution, Tour
 
@@ -115,7 +116,7 @@ def new_tour_cost(instance, vehicle, item):
     try:
         tour = Tour(instance, vehicle, [])
         plan = cheapest_insertion(instance, tour, item)
-    except Exception:
+    except (EmptyDomain, Infeasible):
         return None, None
     return vehicle.fixed_cost + plan.delta_cost + tour.schedule.total_cost, plan
 

@@ -35,6 +35,13 @@ def solve(instance, config=None):
     seed regardless of the worker count.
     """
     config = config or SolverConfig()
+    try:
+        return _solve(instance, config)
+    finally:
+        instance.clear_action_memo()
+
+
+def _solve(instance, config):
     t_start = time.monotonic()
     budget = config.walk_budget()
     brackets = tuple(config.soft_brackets)

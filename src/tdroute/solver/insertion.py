@@ -9,11 +9,10 @@ pruned scan returns the same best move as an exhaustive one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..plf import EmptyDomain
-from .model import _action_for
+from .model import schedule_tour
 
 
 @dataclass(frozen=True)
@@ -28,58 +27,41 @@ class Infeasible(Exception):
     """No position pair admits the item."""
 
 
-def _hyp_eval(tour, hyp_stops, first, last, replacement_idx):
-    """Tour ATF after replacing actions first..last with the actions that
-    the hypothetical stop list prescribes at replacement_idx positions."""
-    inst, veh = tour.instance, tour.vehicle
-    repl = [_action_for(inst, veh, hyp_stops, idx, tour.brackets)
-            for idx in replacement_idx]
-    return tour.store.eval_splice(first, last, repl)
-
-
 def eval_single_insertion(tour, pos, stop):
     """Full-tour ATF with one stop inserted at element position pos."""
     hyp = tour.stops[:pos] + [stop] + tour.stops[pos:]
-    inst, veh = tour.instance, tour.vehicle
-    mod = _action_for(inst, veh, hyp, pos - 1, tour.brackets)
-    new = _action_for(inst, veh, hyp, pos, tour.brackets)
+    inst, veh, br = tour.instance, tour.vehicle, tour.brackets
+    mod = inst.action(veh, hyp, pos - 1, br)
+    new = inst.action(veh, hyp, pos, br)
     return tour.store.eval_splice(pos + 1, pos + 1, [mod, new])
 
 
 def eval_pair_insertion(tour, p, q, p_stop, d_stop):
     """Full-tour ATF with a pickup at p and its delivery at q >= p (both in
     original element coordinates)."""
-    inst, veh = tour.instance, tour.vehicle
+    inst, veh, br = tour.instance, tour.vehicle, tour.brackets
     stops = tour.stops
     m = len(stops)
     hyp = stops[:p] + [p_stop] + stops[p:q] + [d_stop] + stops[q:]
-    br = tour.brackets
     if q == p:
-        repl = [_action_for(inst, veh, hyp, p - 1, br),
-                _action_for(inst, veh, hyp, p, br),
-                _action_for(inst, veh, hyp, p + 1, br)]
+        repl = [inst.action(veh, hyp, p - 1, br),
+                inst.action(veh, hyp, p, br),
+                inst.action(veh, hyp, p + 1, br)]
         return tour.store.eval_splice(p + 1, p + 1, repl)
     if q <= m - 1:
-        a_i = _action_for(inst, veh, hyp, p - 1, br)
-        a_p = _action_for(inst, veh, hyp, p, br)
-        a_j = _action_for(inst, veh, hyp, q, br)
-        a_d = _action_for(inst, veh, hyp, q + 1, br)
+        a_i = inst.action(veh, hyp, p - 1, br)
+        a_p = inst.action(veh, hyp, p, br)
+        a_j = inst.action(veh, hyp, q, br)
+        a_d = inst.action(veh, hyp, q + 1, br)
         return tour.store.eval_insertion(p + 1, q + 1, a_i, a_p, a_j, a_d)
     # delivery appended at the tour end: splice the whole suffix
-    repl = [_action_for(inst, veh, hyp, p - 1, br),
-            _action_for(inst, veh, hyp, p, br)]
+    repl = [inst.action(veh, hyp, p - 1, br),
+            inst.action(veh, hyp, p, br)]
     if q > p + 1:
         repl.append(tour.store.query(p + 1, q))
-    repl.append(_action_for(inst, veh, hyp, q, br))
-    repl.append(_action_for(inst, veh, hyp, q + 1, br))
+    repl.append(inst.action(veh, hyp, q, br))
+    repl.append(inst.action(veh, hyp, q + 1, br))
     return tour.store.eval_splice(p + 1, tour.store.n, repl)
-
-
-def _reschedule(tour, atf):
-    veh = tour.vehicle
-    max_dur = None if math.isinf(veh.max_duration) else veh.max_duration
-    from ..scheduler import optimal_start
-    return optimal_start(atf, veh.cost_model(), max_duration=max_dur)
 
 
 def cheapest_insertion(instance, tour, item, prune=True):
@@ -136,7 +118,7 @@ def cheapest_insertion(instance, tour, item, prune=True):
                 atf = eval_single_insertion(tour, p, d)
             except EmptyDomain:
                 continue
-            sched = _reschedule(tour, atf)
+            sched = schedule_tour(veh, atf)
             if sched is None:
                 continue
             delta = sched.total_cost - base_cost
@@ -178,7 +160,7 @@ def cheapest_insertion(instance, tour, item, prune=True):
                 atf = eval_pair_insertion(tour, p, q, p_stop, d_stop)
             except EmptyDomain:
                 continue
-            sched = _reschedule(tour, atf)
+            sched = schedule_tour(veh, atf)
             if sched is None:
                 continue
             delta = sched.total_cost - base_cost

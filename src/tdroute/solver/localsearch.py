@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 from ..plf import EmptyDomain
-from ..scheduler import optimal_start
 from .construct import _InsertionCache, compute_friends, regret_construct
 from .insertion import apply_insertion
-from .model import Tour
+from .model import Tour, schedule_tour
 
 L_MAX = 3
 _IMPROVE_EPS = 1e-9
@@ -94,9 +95,7 @@ def segment_swap(instance, tour_a, tour_b, friends=None, max_len=L_MAX):
                     try:
                         cost_a, _ = _tour_cost_of_stops(instance, tour_a.vehicle, new_a, tour_a.brackets)
                         cost_b, _ = _tour_cost_of_stops(instance, tour_b.vehicle, new_b, tour_b.brackets)
-                    except (EmptyDomain, Exception) as e:
-                        if isinstance(e, KeyboardInterrupt):
-                            raise
+                    except EmptyDomain:
                         continue
                     delta = cost_a + cost_b - base
                     if delta < -_IMPROVE_EPS and (best is None or delta < best[0] - 1e-12):
@@ -164,7 +163,7 @@ def _removal_gain(instance, tour, item):
         return -tour.cost, new_stops
     try:
         atf = eval_without_positions(tour, idxs)
-        sched = _sched_for(tour, atf)
+        sched = schedule_tour(tour.vehicle, atf)
     except EmptyDomain:
         return None
     if sched is None:
@@ -174,42 +173,32 @@ def _removal_gain(instance, tour, item):
 
 def eval_without_positions(tour, idxs):
     """Tour ATF with the stops at the given positions removed (store splice)."""
-    from .model import _action_for
     inst, veh = tour.instance, tour.vehicle
     stops = tour.stops
     removed = set(idxs)
     new_stops = [s for i, s in enumerate(stops) if i not in removed]
     e1, e2 = min(idxs), max(idxs)
-    repl = [_action_for(inst, veh, new_stops, e1 - 1, tour.brackets)]
+    repl = [inst.action(veh, new_stops, e1 - 1, tour.brackets)]
     if e2 > e1:
         # unchanged run between the two removals, then a retargeted tail
         if e2 > e1 + 2:
             repl.append(tour.store.query(e1 + 2, e2))
         if e2 > e1 + 1:
-            repl.append(_action_for(inst, veh, new_stops, e2 - 2, tour.brackets))
+            repl.append(inst.action(veh, new_stops, e2 - 2, tour.brackets))
     return tour.store.eval_splice(e1 + 1, e2 + 2, repl)
-
-
-def _sched_for(tour, atf):
-    import math as _math
-    veh = tour.vehicle
-    max_dur = None if _math.isinf(veh.max_duration) else veh.max_duration
-    return optimal_start(atf, veh.cost_model(), max_duration=max_dur)
 
 
 def random_walk(instance, solution, rng, budget, brackets=(), time_limit=None,
                 on_accept=None):
     """Ruin-and-recreate: alternately tear out a random run or dissolve a
     whole tour, reinsert by regret, keep the result iff it is not worse."""
-    import time as _time
-
-    deadline = _time.monotonic() + time_limit if time_limit else None
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
     incumbent = solution.clone_state()
     incumbent_cost = solution.total_cost
     cache = _InsertionCache(instance)
     friends = compute_friends(instance)
     for it in range(budget):
-        if deadline is not None and _time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             break
         tours = [t for t in solution.tours if t.stops]
         if not tours:

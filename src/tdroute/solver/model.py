@@ -9,9 +9,10 @@ the vehicle's start depot before departure) carry only a delivery stop.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
-from ..plf import Atf, EmptyDomain, ZERO_COST, compose
+from ..plf import Atf, EmptyDomain, OutOfDomain, ZERO_COST, compose
 from ..scheduler import CostModel, PLCost, optimal_start, soft_window_penalty
 from ..touratf import SegmentStore
 
@@ -72,7 +73,11 @@ class Vehicle:
 
 
 class Instance:
-    """Items, vehicles, and the address-pair ATF matrix."""
+    """Items, vehicles, and the address-pair ATF matrix.
+
+    Action ATFs requested through ``action`` are memoised on the instance;
+    ``solve`` empties the memo before it returns.
+    """
 
     def __init__(self, name, matrix, items, vehicles, horizon=None, depot=0):
         self.name = name
@@ -86,41 +91,49 @@ class Instance:
             horizon = (lo, min(hi, FAR_FUTURE))
         self.horizon = horizon
         self.n_addresses = len(matrix)
-        self._lo = None
+        self._lo = None               # travel-time bounds, indexed p * n + q
         self._hi = None
-        self._dist = None
         self._friends = None
+        self._actions = {}            # action memo: recipe arguments -> Atf
         self.item_by_id = {it.id: it for it in self.items}
 
     def arc(self, p, q):
         return self.matrix[p][q]
 
     def _fill_bounds(self):
-        n = self.n_addresses
-        self._lo = [[0.0] * n for _ in range(n)]
-        self._hi = [[0.0] * n for _ in range(n)]
-        self._dist = [[0.0] * n for _ in range(n)]
-        for p in range(n):
-            for q in range(n):
-                tb = self.matrix[p][q].travel_bounds()
-                self._lo[p][q] = tb.lo
-                self._hi[p][q] = tb.hi
-                self._dist[p][q] = self.matrix[p][q].cost.init
+        lo = array("d")
+        hi = array("d")
+        for row in self.matrix:
+            for a in row:
+                tb = a.travel_bounds()
+                lo.append(tb.lo)
+                hi.append(tb.hi)
+        self._lo = lo
+        self._hi = hi
 
     def lo_travel(self, p, q):
         if self._lo is None:
             self._fill_bounds()
-        return self._lo[p][q]
+        return self._lo[p * self.n_addresses + q]
 
     def hi_travel(self, p, q):
         if self._hi is None:
             self._fill_bounds()
-        return self._hi[p][q]
+        return self._hi[p * self.n_addresses + q]
 
     def arc_dist_cost(self, p, q):
-        if self._dist is None:
-            self._fill_bounds()
-        return self._dist[p][q]
+        return self.matrix[p][q].cost.init
+
+    def action(self, vehicle, stops, idx, brackets=()):
+        """Memoised ``build_action``."""
+        build, args = _action_recipe(vehicle, stops, idx, brackets)
+        act = self._actions.get(args)
+        if act is None:
+            act = self._actions[args] = build(self, *args)
+        return act
+
+    def clear_action_memo(self):
+        self._actions.clear()
 
 
 def serve_atf(stop, brackets=()):
@@ -132,28 +145,63 @@ def serve_atf(stop, brackets=()):
                 (stop.close, stop.close + stop.duration)), cost=cost)
 
 
-def build_actions(instance, vehicle, stops, brackets=()):
-    """Action ATF list for a tour: START, one action per stop.
+def _end_clamp(avail_lo, end_cap):
+    return Atf(((avail_lo - 1.0, avail_lo - 1.0), (end_cap, end_cap)))
 
-    Action 1 departs the depot within the vehicle's availability and drives
-    to the first stop; action i+1 serves stop i and drives on; the last
-    action also enforces the return deadline.
-    """
+
+def _start_action(instance, start_addr, first_addr, avail_lo, end_cap, empty):
+    clamp = Atf(((avail_lo, avail_lo), (end_cap, end_cap)))
+    act = compose(clamp, instance.arc(start_addr, first_addr))
+    if empty:
+        act = compose(act, _end_clamp(avail_lo, end_cap))
+    return act
+
+
+def _stop_action(instance, stop, nxt, brackets, end):
+    act = compose(serve_atf(stop, brackets), instance.arc(stop.address, nxt))
+    if end is not None:
+        act = compose(act, _end_clamp(*end))
+    return act
+
+
+def _action_recipe(vehicle, stops, idx, brackets):
+    """The builder of the action at position idx+1 and its arguments after
+    the instance.  The arguments name everything the action depends on, so
+    they double as its memo key."""
     end_cap = min(vehicle.avail_hi, FAR_FUTURE)
-    start_lo = vehicle.avail_lo
-    first_addr = stops[0].address if stops else vehicle.end_address
-    start_clamp = Atf(((start_lo, start_lo), (end_cap, end_cap)))
-    actions = [compose(start_clamp, instance.arc(vehicle.start_address, first_addr))]
-    end_clamp = Atf(((start_lo - 1.0, start_lo - 1.0), (end_cap, end_cap)))
-    for idx, s in enumerate(stops):
-        nxt = stops[idx + 1].address if idx + 1 < len(stops) else vehicle.end_address
-        act = compose(serve_atf(s, brackets), instance.arc(s.address, nxt))
-        if idx == len(stops) - 1:
-            act = compose(act, end_clamp)
-        actions.append(act)
-    if not stops:
-        actions[0] = compose(actions[0], end_clamp)
-    return actions
+    if idx < 0:
+        first = stops[0].address if stops else vehicle.end_address
+        return _start_action, (vehicle.start_address, first, vehicle.avail_lo,
+                               end_cap, not stops)
+    s = stops[idx]
+    if idx == len(stops) - 1:
+        return _stop_action, (s, vehicle.end_address, brackets,
+                              (vehicle.avail_lo, end_cap))
+    return _stop_action, (s, stops[idx + 1].address, brackets, None)
+
+
+def build_action(instance, vehicle, stops, idx, brackets=()):
+    """The action ATF at position idx+1 of a stop list, built afresh.
+
+    idx = -1 yields the START action, which departs the depot within the
+    vehicle's availability and drives to the first stop; action idx+1
+    serves stop idx and drives on; the last action also enforces the
+    return deadline.
+    """
+    build, args = _action_recipe(vehicle, stops, idx, brackets)
+    return build(instance, *args)
+
+
+def build_actions(instance, vehicle, stops, brackets=()):
+    """Action ATF list for a tour, START first, built afresh."""
+    return [build_action(instance, vehicle, stops, idx, brackets)
+            for idx in range(-1, len(stops))]
+
+
+def schedule_tour(vehicle, atf):
+    """The vehicle's optimal schedule over a tour ATF, or None."""
+    max_dur = None if math.isinf(vehicle.max_duration) else vehicle.max_duration
+    return optimal_start(atf, vehicle.cost_model(), max_duration=max_dur)
 
 
 class Tour:
@@ -176,21 +224,16 @@ class Tour:
 
     def _rebuild(self):
         inst, veh = self.instance, self.vehicle
-        actions = build_actions(inst, veh, self.stops, self.brackets)
+        actions = [inst.action(veh, self.stops, idx, self.brackets)
+                   for idx in range(-1, len(self.stops))]
         store = SegmentStore(actions, k=self.k)
-        schedule = self._schedule_atf(store.full_atf())
+        schedule = schedule_tour(veh, store.full_atf())
         if schedule is None:
             raise EmptyDomain(f"tour of vehicle {veh.id} is infeasible")
         self.store = store
         self.schedule = schedule
         self._refresh_aux()
         self.revision += 1
-
-    def _schedule_atf(self, atf):
-        max_dur = self.vehicle.max_duration
-        if math.isinf(max_dur):
-            max_dur = None
-        return optimal_start(atf, self.vehicle.cost_model(), max_duration=max_dur)
 
     def _refresh_aux(self):
         """Earliest/latest service starts and running loads, for pruning."""
@@ -204,7 +247,7 @@ class Tour:
         for i, s in enumerate(stops):
             try:
                 arr = inst.arc(prev, s.address).eval(t)
-            except Exception:
+            except OutOfDomain:
                 feasible = False
                 break
             start = max(arr, s.open)
@@ -267,39 +310,17 @@ class Tour:
         """Insert one stop; the store absorbs it with incremental updates."""
         inst, veh = self.instance, self.vehicle
         new_stops = self.stops[:position] + [stop] + self.stops[position:]
-        mod = _action_for(inst, veh, new_stops, position - 1, self.brackets)
-        new_act = _action_for(inst, veh, new_stops, position, self.brackets)
+        mod = inst.action(veh, new_stops, position - 1, self.brackets)
+        new_act = inst.action(veh, new_stops, position, self.brackets)
         self.stops = new_stops
         self.store.update_action(position + 1, mod)
         self.store.insert_action(position + 2, new_act)
-        sched = self._schedule_atf(self.store.full_atf())
+        sched = schedule_tour(veh, self.store.full_atf())
         if sched is None:
             raise EmptyDomain("insertion broke the schedule")
         self.schedule = sched
         self._refresh_aux()
         self.revision += 1
-
-
-def _action_for(instance, vehicle, stops, idx, brackets):
-    """The action ATF at position idx+1 of the given stop list (idx = -1
-    yields the START action)."""
-    m = len(stops)
-    end_cap = min(vehicle.avail_hi, FAR_FUTURE)
-    if idx < 0:
-        first = stops[0].address if stops else vehicle.end_address
-        clamp = Atf(((vehicle.avail_lo, vehicle.avail_lo), (end_cap, end_cap)))
-        act = compose(clamp, instance.arc(vehicle.start_address, first))
-        if not stops:
-            act = compose(act, Atf(((vehicle.avail_lo - 1.0, vehicle.avail_lo - 1.0),
-                                    (end_cap, end_cap))))
-        return act
-    s = stops[idx]
-    nxt = stops[idx + 1].address if idx + 1 < m else vehicle.end_address
-    act = compose(serve_atf(s, brackets), instance.arc(s.address, nxt))
-    if idx == m - 1:
-        end_clamp = Atf(((vehicle.avail_lo - 1.0, vehicle.avail_lo - 1.0), (end_cap, end_cap)))
-        act = compose(act, end_clamp)
-    return act
 
 
 class Solution:

@@ -143,3 +143,37 @@ def corridor_min_breakpoints(f, eps, t_density=8, y_density=17):
         seen |= new
         frontier = new
     return 10 ** 9
+
+
+def normalize_points_reference(pts):
+    """The tuple-based breakpoint normaliser ``Atf`` used to run: merge
+    coincident abscissae, clamp sub-1e-6 FIFO dips, drop redundant
+    breakpoints.  Kept as the reference for the list-based one."""
+    eps_t = eps_slope = 1e-9
+    merged = []
+    for t, v in pts:
+        if merged and t < merged[-1][0] - eps_t:
+            raise ValueError("breakpoints must be sorted by t")
+        if merged and t - merged[-1][0] <= eps_t:
+            merged[-1] = (t, v)
+        else:
+            merged.append((t, v))
+    for i in range(1, len(merged)):
+        t, v = merged[i]
+        pv = merged[i - 1][1]
+        if v < pv:
+            if v < pv - 1e-6:
+                raise ValueError(f"non-monotone values at t={t}: {v} < {pv}")
+            merged[i] = (t, pv)
+    out = [merged[0]]
+    for i in range(1, len(merged) - 1):
+        t0, v0 = out[-1]
+        t1, v1 = merged[i]
+        t2, v2 = merged[i + 1]
+        s0 = (v1 - v0) / (t1 - t0)
+        s1 = (v2 - v1) / (t2 - t1)
+        if abs(s1 - s0) > eps_slope:
+            out.append(merged[i])
+    if len(merged) > 1:
+        out.append(merged[-1])
+    return out

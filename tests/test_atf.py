@@ -5,7 +5,9 @@ import pytest
 
 from tdroute.plf import (Atf, EmptyDomain, OutOfDomain, StepCost, compose,
                          compose_chain, min2)
-from oracles import fold_compose, rand_atf, rand_stepcost, same_function
+from tdroute.plf.atf import _normalize_points
+from oracles import (fold_compose, normalize_points_reference, rand_atf,
+                     rand_stepcost, same_function)
 
 RNG = np.random.default_rng(20240601)
 
@@ -168,3 +170,103 @@ class TestStepCost:
                 if jumps and min(abs(t - j) for j in jumps) < 1e-6:
                     continue
                 assert s.eval(t) == pytest.approx(c1.eval(t) + c2.eval(t), abs=1e-12)
+
+
+def _adversarial_points(rng):
+    """Point lists mixing coincident abscissae, FIFO dips below and above
+    the 1e-6 clamp, collinear runs, single points and unsorted input."""
+    n = int(rng.integers(1, 14))
+    t = float(rng.uniform(-50.0, 50.0))
+    v = t + float(rng.uniform(0.0, 20.0))
+    slope = float(rng.choice([0.0, 0.5, 1.0, 1.7]))
+    pts = [(t, v)]
+    for _ in range(n - 1):
+        dt = float(rng.choice([0.0, 3e-10, 1e-9, 5e-9, -4e-10, -0.5,
+                               rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)]))
+        kind = int(rng.integers(0, 8))
+        if kind == 0:
+            dv = -float(rng.uniform(0.0, 9e-7))         # clamped dip
+        elif kind == 1:
+            dv = -float(rng.uniform(2e-6, 1.0))         # rejected dip
+        elif kind == 2:
+            slope = float(rng.uniform(0.0, 2.0))        # start a new run
+            dv = slope * dt
+        else:
+            dv = slope * dt                             # collinear run
+        t += dt
+        v += dv
+        pts.append((t, v))
+    return pts
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestNormalizePoints:
+    """The list-based normaliser against the tuple-based reference."""
+
+    def check(self, pts):
+        want = _outcome(lambda: normalize_points_reference(pts))
+        got = _outcome(lambda: _normalize_points([t for t, _ in pts],
+                                                 [v for _, v in pts]))
+        if want[0] == "ok":
+            assert got[0] == "ok"
+            out_t, out_v = got[1]
+            assert out_t == [t for t, _ in want[1]]
+            assert out_v == [v for _, v in want[1]]
+        else:
+            assert got == want
+
+    def test_seeded_adversarial_lists(self):
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for _ in range(3000):
+            pts = _adversarial_points(rng)
+            self.check(pts)
+            outcomes.add(_outcome(lambda: normalize_points_reference(pts))[0])
+        assert outcomes == {"ok", "error"}
+
+    def test_seeded_random_atfs(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            a = rand_atf(rng, b_max=12)
+            self.check(list(zip(a.ts, a.vs)))
+            b = rand_atf(rng, b_max=12)
+            c = compose(a, b) if a.vs[0] <= b.t_max else a
+            self.check(list(zip(c.ts, c.vs)))
+
+    @pytest.mark.parametrize("pts", [
+        [(1.0, 2.0)],
+        [(1.0, 2.0), (1.0, 3.0)],                          # coincident
+        [(1.0, 2.0), (1.0 + 5e-10, 3.0), (4.0, 6.0)],      # within EPS_T
+        [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)],  # collinear run
+        [(0.0, 1.0), (1.0, 2.0), (2.0, 2.0 - 5e-7)],       # dip below 1e-6
+        [(0.0, 1.0), (1.0, 2.0), (2.0, 2.0 - 2e-6)],       # dip above 1e-6
+        [(0.0, 1.0), (2.0, 3.0), (1.0, 4.0)],              # unsorted
+        [(0.0, 1.0), (2.0, 3.0), (2.0 - 5e-10, 4.0)],      # backwards within EPS_T
+        [(0.0, 1.0), (1e-9, 2.0), (3.0, 4.0)],             # gap exactly EPS_T
+        [(0.0, 1.0), (-1.5e-9, 2.0)],                      # backwards past EPS_T
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-9)],             # slope change exactly EPS_SLOPE
+        [(0.0, 1.0), (1.0, 2.0), (2.0, 2.0 - 1e-6)],       # dip exactly 1e-6
+    ])
+    def test_edge_cases(self, pts):
+        self.check(pts)
+
+    def test_constructor_paths_agree(self):
+        rng = np.random.default_rng(9)
+        for _ in range(500):
+            pts = [(t, max(v, t)) for t, v in _adversarial_points(rng)]
+            from_pairs = _outcome(lambda: Atf(pts))
+            from_lists = _outcome(lambda: Atf(ts=[t for t, _ in pts],
+                                              vs=[v for _, v in pts]))
+            assert from_pairs[0] == from_lists[0]
+            if from_pairs[0] == "ok":
+                assert from_pairs[1].ts == from_lists[1].ts
+                assert from_pairs[1].vs == from_lists[1].vs
+                from_lists[1].check_invariants()
+            else:
+                assert from_pairs[1] == from_lists[1]

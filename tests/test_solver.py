@@ -1,14 +1,20 @@
 """Solver: validation, insertion pricing, seeds, regret, moves, determinism."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
-from tdroute.plf import Atf, StepCost
+from tdroute.bench_io import generate_td, make_benchmark_instance
+from tdroute.plf import Atf, EmptyDomain, StepCost
 from tdroute.solver import (Infeasible, Instance, Item, SolverConfig, Solution,
                             Tour, Vehicle, apply_insertion, cheapest_insertion,
                             compute_friends, random_walk, regret_construct,
                             relocate_pass, segment_swap, select_seeds, solve,
                             validate)
+from tdroute.solver import engine
+from tdroute.solver.model import build_action
 
 RNG = np.random.default_rng(1337)
 
@@ -303,6 +309,14 @@ class TestRandomWalk:
         out = random_walk(inst, sol, random.Random(1), 0)
         assert out.total_cost == pytest.approx(before)
 
+    def test_zero_time_limit_returns_incoming_solution(self):
+        inst = grid_instance(25, seed=51)
+        sol = regret_construct(inst, random.Random(0))
+        state, cost = sol.clone_state(), sol.total_cost
+        out = random_walk(inst, sol, random.Random(1), 50, time_limit=0.0)
+        assert out.clone_state() == state
+        assert out.total_cost == cost
+
     def test_never_worse_and_validates(self):
         inst = grid_instance(25, seed=51)
         import random
@@ -342,3 +356,81 @@ class TestSolve:
         inst = grid_instance(14, seed=63, pdp=True)
         sol = solve(inst, SolverConfig(seed=7, iterations=5))
         assert validate(sol, inst).feasible
+
+
+def _same_atf(a, b):
+    return (a.ts == b.ts and a.vs == b.vs and a.cost.init == b.cost.init
+            and a.cost.ts == b.cost.ts and a.cost.cs == b.cost.cs)
+
+
+class TestActionMemo:
+    """Memoised action ATFs equal the uncached builder's."""
+
+    def test_memo_matches_builder_on_td_city_tours(self):
+        inst = generate_td(make_benchmark_instance(8, seed=11),
+                           rng=np.random.default_rng(11))
+        sol = regret_construct(inst, random.Random(3))
+        tour = max(sol.tours, key=lambda t: len(t.stops))
+        veh = tour.vehicle
+        # vehicles sharing the memo that differ in one field each: a short
+        # day cuts many actions' domains, a late start clamps early arrivals;
+        # with the end at the first stop's address (and a short day, so that
+        # the return deadline binds) the empty tour's START differs from the
+        # one-stop tour's only in that deadline
+        short = dataclasses.replace(veh, avail_hi=veh.avail_lo + 2.5 * 3600.0)
+        vehicles = (veh, short,
+                    dataclasses.replace(veh, avail_lo=veh.avail_lo + 3 * 3600.0),
+                    dataclasses.replace(short, end_address=tour.stops[0].address),
+                    dataclasses.replace(veh, start_address=tour.stops[-1].address))
+        # a stop at the depot makes "next address" equal the end address
+        # without being the last stop; a second stop at an address already
+        # served differs from the first only in its window
+        at_depot = dataclasses.replace(tour.stops[1], address=veh.end_address)
+        wider = dataclasses.replace(tour.stops[1], open=tour.stops[1].open - 600.0,
+                                    close=tour.stops[1].close + 600.0)
+        extra = [s for t in sol.tours if t is not tour for s in t.stops][:3]
+        extra += [at_depot, wider]
+        stop_lists = [tour.stops, tour.stops[:1], []]
+        for pos in range(len(tour.stops) + 1):
+            for s in extra:
+                stop_lists.append(tour.stops[:pos] + [s] + tour.stops[pos:])
+        cases = [(v, stops, idx, br)
+                 for br in ((), ((15, 1.0), (10, 2.0), (5, 4.0)))
+                 for v in vehicles
+                 for stops in stop_lists
+                 for idx in range(-1, len(stops))]
+        memo = {}
+        for v, stops, idx, br in cases:
+            try:
+                memo[id(stops), id(v), idx, br] = inst.action(v, stops, idx, br)
+            except EmptyDomain:
+                pass
+        assert inst._actions
+        checked = 0
+        for v, stops, idx, br in cases:
+            key = (id(stops), id(v), idx, br)
+            try:
+                fresh = build_action(inst, v, stops, idx, br)
+            except EmptyDomain:
+                assert key not in memo
+                continue
+            assert _same_atf(memo[key], fresh)
+            assert _same_atf(inst.action(v, stops, idx, br), fresh)
+            checked += 1
+        assert checked > len(cases) // 2
+
+    def test_solve_empties_memo(self):
+        inst = grid_instance(12, seed=64)
+        solve(inst, SolverConfig(seed=2, iterations=3))
+        assert inst._actions == {}
+
+    def test_solve_empties_memo_when_it_raises(self, monkeypatch):
+        inst = grid_instance(12, seed=64)
+
+        def broken_walk(*args, **kwargs):
+            raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(engine, "random_walk", broken_walk)
+        with pytest.raises(RuntimeError):
+            solve(inst, SolverConfig(seed=2, iterations=3))
+        assert inst._actions == {}
