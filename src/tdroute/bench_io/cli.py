@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from pathlib import Path
@@ -44,11 +43,8 @@ def _brackets(spec):
 
 
 def _config(args):
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("TDROUTE_WORKERS", "1"))
     return SolverConfig(
-        workers=workers, seed=args.seed, mode=args.mode,
+        workers=args.workers, seed=args.seed, mode=args.mode,
         iterations=args.iterations, time_limit=args.time_limit,
         soft_brackets=_brackets(getattr(args, "soft_windows", None)))
 
@@ -137,7 +133,7 @@ def _cmd_bench(args):
 def _add_solver_args(p):
     p.add_argument("--mode", choices=["default", "high-effort"], default="default")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", "-W", type=int, default=None)
+    p.add_argument("--workers", "-W", type=int, default=1)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--soft-windows", default=None,

@@ -67,7 +67,7 @@ def _simulate(instance, vehicle, stops, t0):
 
 def _true_cost(instance, veh, stops, t0, duration):
     """Fixed + duration + work-time + distance cost; penalties excluded."""
-    model = veh.cost_model()
+    model = veh.cost_model
     from ..scheduler import _wt_integral
     cost = veh.fixed_cost + model.c_ot.eval(max(duration, 0.0))
     cost += _wt_integral(model.c_wt, t0, t0 + duration)
@@ -98,7 +98,7 @@ def evaluate_under(instance, solution):
             continue
         veh = tour.vehicle
         stops = tour.stops
-        model = veh.cost_model()
+        model = veh.cost_model
         max_dur = None if math.isinf(veh.max_duration) else veh.max_duration
         sched = None
         try:

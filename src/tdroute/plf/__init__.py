@@ -13,7 +13,6 @@ from .atf import (
     ZERO_COST,
     compose,
     compose_chain,
-    eval_at,
     min2,
 )
 from .envelope import (
@@ -39,7 +38,6 @@ __all__ = [
     "ZERO_COST",
     "compose",
     "compose_chain",
-    "eval_at",
     "min2",
     "AffineEnvelope",
     "PiecewiseLinear",

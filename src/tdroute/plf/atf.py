@@ -397,11 +397,6 @@ def _validate(ts, vs):
             raise ValueError(f"a({t}) = {v} violates a(t) >= t")
 
 
-def eval_at(a, t):
-    """Module-level alias for Atf.eval (see also Atf.eval_many)."""
-    return a.eval(t)
-
-
 # -- composition ---------------------------------------------------------
 
 

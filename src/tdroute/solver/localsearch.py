@@ -1,4 +1,4 @@
-"""Local search: segment swaps, relocations, ruin-and-recreate walks."""
+"""Local search: relocations and ruin-and-recreate walks."""
 
 from __future__ import annotations
 
@@ -7,21 +7,18 @@ import time
 from ..plf import EmptyDomain
 from .construct import _InsertionCache, compute_friends, regret_construct
 from .insertion import apply_insertion
-from .model import Tour, schedule_tour
+from .model import schedule_tour
 
 L_MAX = 3
 _IMPROVE_EPS = 1e-9
 
 
-def _item_runs(tour, max_len=L_MAX, include_empty=False):
+def _item_runs(tour, max_len=L_MAX):
     """Contiguous stop runs closed under items (both stops of every touched
     item inside), as (first_stop, last_stop, item_ids)."""
     stops = tour.stops
     m = len(stops)
     runs = []
-    if include_empty:
-        for i in range(m + 1):
-            runs.append((i, i - 1, ()))
     for i in range(m):
         items = set()
         for j in range(i, min(m, i + 2 * max_len)):
@@ -35,78 +32,6 @@ def _item_runs(tour, max_len=L_MAX, include_empty=False):
             if closed:
                 runs.append((i, j, tuple(sorted(items))))
     return runs
-
-
-def _tour_cost_of_stops(instance, vehicle, stops, brackets):
-    if not stops:
-        return 0.0, None
-    tour = Tour(instance, vehicle, stops, brackets)
-    return tour.cost, tour
-
-
-def _reversed_run(stops):
-    """Reversed stop order, or None if it would put a delivery first."""
-    rev = list(reversed(stops))
-    for it in {s.item_id for s in rev}:
-        kinds = [s.kind for s in rev if s.item_id == it]
-        if "P" in kinds and "D" in kinds and kinds.index("D") < kinds.index("P"):
-            return None
-    return rev
-
-
-def segment_swap(instance, tour_a, tour_b, friends=None, max_len=L_MAX):
-    """Best strictly-improving exchange of item-closed runs between two
-    tours (either side may be empty, which makes this a relocation).
-
-    Returns (delta, stops_a, stops_b) or None.  Tours are not modified.
-    """
-    if tour_a is tour_b:
-        return None
-    runs_a = _item_runs(tour_a, max_len, include_empty=True)
-    runs_b = _item_runs(tour_b, max_len, include_empty=True)
-    items_a = set(tour_a.item_ids)
-    items_b = set(tour_b.item_ids)
-    base = tour_a.cost + tour_b.cost
-    best = None
-    for fa, la, ids_a in runs_a:
-        seg_a = tour_a.stops[fa:la + 1]
-        for fb, lb, ids_b in runs_b:
-            if not ids_a and not ids_b:
-                continue
-            seg_b = tour_b.stops[fb:lb + 1]
-            if friends is not None:
-                # moved items should fit with something staying behind
-                stay_a = items_a - set(ids_a)
-                stay_b = items_b - set(ids_b)
-                ok_b_into_a = (not ids_b) or (not stay_a) or any(
-                    friends[i] & stay_a for i in ids_b)
-                ok_a_into_b = (not ids_a) or (not stay_b) or any(
-                    friends[i] & stay_b for i in ids_a)
-                if not (ok_b_into_a and ok_a_into_b):
-                    continue
-            for seg_b_used in ([seg_b, _reversed_run(seg_b)] if len(seg_b) > 1 else [seg_b]):
-                if seg_b_used is None:
-                    continue
-                for seg_a_used in ([seg_a, _reversed_run(seg_a)] if len(seg_a) > 1 else [seg_a]):
-                    if seg_a_used is None:
-                        continue
-                    new_a = tour_a.stops[:fa] + list(seg_b_used) + tour_a.stops[la + 1:]
-                    new_b = tour_b.stops[:fb] + list(seg_a_used) + tour_b.stops[lb + 1:]
-                    try:
-                        cost_a, _ = _tour_cost_of_stops(instance, tour_a.vehicle, new_a, tour_a.brackets)
-                        cost_b, _ = _tour_cost_of_stops(instance, tour_b.vehicle, new_b, tour_b.brackets)
-                    except EmptyDomain:
-                        continue
-                    delta = cost_a + cost_b - base
-                    if delta < -_IMPROVE_EPS and (best is None or delta < best[0] - 1e-12):
-                        best = (delta, new_a, new_b)
-    return best
-
-
-def apply_swap(solution, tour_a, tour_b, new_a, new_b):
-    tour_a.set_stops(new_a)
-    tour_b.set_stops(new_b)
-    solution.drop_empty_tours()
 
 
 def relocate_pass(instance, solution, cache=None, friends=None, max_sweeps=None):

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..plf import Atf, EmptyDomain, OutOfDomain, ZERO_COST, compose
-from ..scheduler import CostModel, PLCost, optimal_start, soft_window_penalty
+from ..scheduler import CostModel, optimal_start, soft_window_penalty
 from ..touratf import SegmentStore
 
 FAR_FUTURE = 5e8  # effectively "no deadline", yet numerically tame
@@ -68,8 +69,10 @@ class Vehicle:
     max_duration: float = math.inf
     capacity: float = math.inf
 
+    @cached_property
     def cost_model(self):
-        return CostModel(c_ot=PLCost.linear(self.time_cost_per_hour))
+        """The vehicle's duration cost, built once per vehicle."""
+        return CostModel.hourly(self.time_cost_per_hour)
 
 
 class Instance:
@@ -201,7 +204,7 @@ def build_actions(instance, vehicle, stops, brackets=()):
 def schedule_tour(vehicle, atf):
     """The vehicle's optimal schedule over a tour ATF, or None."""
     max_dur = None if math.isinf(vehicle.max_duration) else vehicle.max_duration
-    return optimal_start(atf, vehicle.cost_model(), max_duration=max_dur)
+    return optimal_start(atf, vehicle.cost_model, max_duration=max_dur)
 
 
 class Tour:
@@ -209,7 +212,7 @@ class Tour:
 
     _uid = 0
 
-    def __init__(self, instance, vehicle, stops, brackets=(), k=2):
+    def __init__(self, instance, vehicle, stops, brackets=()):
         Tour._uid += 1
         self.uid = Tour._uid
         self.revision = 0
@@ -217,7 +220,6 @@ class Tour:
         self.vehicle = vehicle
         self.stops = list(stops)
         self.brackets = tuple(brackets)
-        self.k = k
         self._rebuild()
 
     # -- derived state ----------------------------------------------------
@@ -226,7 +228,7 @@ class Tour:
         inst, veh = self.instance, self.vehicle
         actions = [inst.action(veh, self.stops, idx, self.brackets)
                    for idx in range(-1, len(self.stops))]
-        store = SegmentStore(actions, k=self.k)
+        store = SegmentStore(actions)
         schedule = schedule_tour(veh, store.full_atf())
         if schedule is None:
             raise EmptyDomain(f"tour of vehicle {veh.id} is infeasible")

@@ -78,7 +78,7 @@ def validate(solution, instance):
             rep.add(f"tour {ti} (vehicle {veh.id}) has an empty feasible window")
             continue
         max_dur = None if math.isinf(veh.max_duration) else veh.max_duration
-        sched = optimal_start(atf, veh.cost_model(), max_duration=max_dur)
+        sched = optimal_start(atf, veh.cost_model, max_duration=max_dur)
         if sched is None:
             rep.add(f"tour {ti} cannot satisfy the duration limit")
             continue

@@ -4,7 +4,7 @@ Keeps the arrival time functions of a tour's actions in a multi-level
 structure of balanced search trees so that the composed ATF of any
 contiguous action range a_{i,j} comes out of at most 2k-1 compose
 operations (k-1 when the range touches either tour end), and hypothetical
-insertions, removals, and swaps can be priced without mutating anything.
+insertions and splices can be priced without mutating anything.
 
 Action boundaries run 0..n; a_{i,j} composes actions i+1..j.  Every
 compose performed on behalf of the store goes through one instrumented
@@ -14,24 +14,8 @@ counter, which the budget tests read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .plf import Atf, compose
-
-_IDENTITY_T_MAX = 1e9  # far beyond any horizon; modest so interpolation stays exact
-
-
-def identity_action():
-    """Placeholder ATF used when an action is removed in place."""
-    return Atf.identity(_IDENTITY_T_MAX, t_lo=-_IDENTITY_T_MAX)
-
-
-@dataclass(frozen=True)
-class ActionAtf:
-    """An action's ATF: arrival at the next location after performing it."""
-
-    atf: Atf
-    action_id: object = None
+from .plf import compose
 
 
 class _Counter:
@@ -41,7 +25,30 @@ class _Counter:
         self.n = 0
 
 
-class _Bst:
+class _Level:
+    """One level of a store.  Its composes are counted on self.counter,
+    which every level of the store shares; None stands for an empty
+    range."""
+
+    def _c(self, x, y):
+        if x is None:
+            return y
+        if y is None:
+            return x
+        self.counter.n += 1
+        return compose(x, y)
+
+
+def _refresh_ends(c, atfs, pre, suf, lo, hi):
+    """Recompute pre[j] = a_{0,j} for j >= lo and suf[i] = a_{i,L} for
+    i < hi in place, where L = len(atfs); lo = 1, hi = L rebuilds both."""
+    for j in range(lo, len(atfs) + 1):
+        pre[j] = c(pre[j - 1], atfs[j - 1])
+    for i in range(hi - 1, -1, -1):
+        suf[i] = c(atfs[i], suf[i + 1])
+
+
+class _Bst(_Level):
     """Single-level balanced search tree over one block of actions.
 
     Stores a_{i,h}/a_{h,j} for every ancestor-descendant pair plus the
@@ -54,14 +61,6 @@ class _Bst:
         self.atfs = list(atfs)
         self._build()
 
-    def _c(self, x, y):
-        if x is None:
-            return y
-        if y is None:
-            return x
-        self.counter.n += 1
-        return compose(x, y)
-
     def _build(self):
         L = len(self.atfs)
         self.L = L
@@ -70,10 +69,7 @@ class _Bst:
         self._build_node(0, L)
         self.pre = [None] * (L + 1)   # pre[j] = a_{0,j}
         self.suf = [None] * (L + 1)   # suf[i] = a_{i,L}
-        for j in range(1, L + 1):
-            self.pre[j] = self._c(self.pre[j - 1], self.atfs[j - 1])
-        for i in range(L - 1, -1, -1):
-            self.suf[i] = self._c(self.atfs[i], self.suf[i + 1])
+        _refresh_ends(self._c, self.atfs, self.pre, self.suf, 1, L)
 
     def _build_node(self, lo, hi):
         if lo > hi:
@@ -120,9 +116,6 @@ class _Bst:
             return self.left[h][i]
         return self._c(self.left[h][i], self.right[h][j])
 
-    def update(self, pos, atf):
-        self.update_many([(pos, atf)])
-
     def update_many(self, pairs):
         """Replace several actions at once, then recompute exactly the
         stored compositions whose range covers a replaced position.
@@ -142,10 +135,8 @@ class _Bst:
             self._refresh_left(pos)
         for pos in positions:
             self._refresh_right(pos)
-        for j in range(positions[0], self.L + 1):
-            self.pre[j] = self._c(self.pre[j - 1], self.atfs[j - 1])
-        for i in range(positions[-1] - 1, -1, -1):
-            self.suf[i] = self._c(self.atfs[i], self.suf[i + 1])
+        _refresh_ends(self._c, self.atfs, self.pre, self.suf,
+                      positions[0], positions[-1])
 
     def _refresh_left(self, pos):
         lo, hi = 0, self.L
@@ -184,14 +175,13 @@ class IndexOutOfRange(IndexError):
     pass
 
 
-class SegmentStore:
+class SegmentStore(_Level):
     """Multi-level composition store over a tour's action ATFs."""
 
     def __init__(self, actions, k=2, _counter=None):
         self.counter = _counter if _counter is not None else _Counter()
         self.k = max(1, int(k))
-        self._actions = [a.atf if isinstance(a, ActionAtf) else a for a in actions]
-        self._ids = [a.action_id if isinstance(a, ActionAtf) else None for a in actions]
+        self._actions = list(actions)
         if not self._actions:
             raise ValueError("a store needs at least one action")
         self._struct_ops = 0
@@ -208,14 +198,6 @@ class SegmentStore:
     def compose_count(self):
         return self.counter.n
 
-    def _c(self, x, y):
-        if x is None:
-            return y
-        if y is None:
-            return x
-        self.counter.n += 1
-        return compose(x, y)
-
     def _build(self):
         n = self.n
         self._pending.clear()
@@ -228,7 +210,6 @@ class SegmentStore:
             return
         self._single = None
         p = max(2, math.ceil(n ** (1.0 / self.k)))
-        self._p = p
         starts = list(range(0, n, p))
         self._blocks = []
         for s in starts:
@@ -238,18 +219,13 @@ class SegmentStore:
         self._top = SegmentStore(composites, k=self.k - 1, _counter=self.counter)
         self._pre = [None] * (n + 1)
         self._suf = [None] * (n + 1)
-        for j in range(1, n + 1):
-            self._pre[j] = self._c(self._pre[j - 1], self._actions[j - 1])
-        for i in range(n - 1, -1, -1):
-            self._suf[i] = self._c(self._actions[i], self._suf[i + 1])
+        _refresh_ends(self._c, self._actions, self._pre, self._suf, 1, n)
 
     def flush(self):
         """Apply pending lazy updates now."""
         if not self._pending:
             return
         pending, self._pending = self._pending, []
-        lo_idx = min(pending)
-        hi_idx = max(pending)
         if self._single is not None:
             self._single.update_many(
                 [(idx, self._actions[idx - 1]) for idx in set(pending)])
@@ -263,10 +239,8 @@ class SegmentStore:
             start, bst = self._blocks[bi]
             bst.update_many([(idx - start, self._actions[idx - 1]) for idx in idxs])
             self._top.update_action(bi + 1, bst.full())
-        for j in range(lo_idx, self.n + 1):
-            self._pre[j] = self._c(self._pre[j - 1], self._actions[j - 1])
-        for i in range(hi_idx - 1, -1, -1):
-            self._suf[i] = self._c(self._actions[i], self._suf[i + 1])
+        _refresh_ends(self._c, self._actions, self._pre, self._suf,
+                      min(pending), max(pending))
 
     def _block_of(self, action_idx):
         """Block index holding 1-based action action_idx."""
@@ -321,59 +295,37 @@ class SegmentStore:
     def full_atf(self):
         return self.query(0, self.n)
 
-    def action_atf(self, idx):
-        if not (1 <= idx <= self.n):
-            raise IndexOutOfRange(str(idx))
-        return self._actions[idx - 1]
-
     # -- mutation ----------------------------------------------------------
 
     def update_action(self, idx, new):
         """Replace action idx (1-based); recomputation is deferred."""
         if not (1 <= idx <= self.n):
             raise IndexOutOfRange(str(idx))
-        atf = new.atf if isinstance(new, ActionAtf) else new
-        self._actions[idx - 1] = atf
-        if isinstance(new, ActionAtf):
-            self._ids[idx - 1] = new.action_id
+        self._actions[idx - 1] = new
         self._pending.append(idx)
-
-    def remove_action(self, idx):
-        """Remove by substituting the identity function; triggers the
-        structural-update counter."""
-        self.update_action(idx, identity_action())
-        self._bump_struct()
 
     def insert_action(self, pos, new):
         """Insert a new action so it becomes action number pos (1-based)."""
         if not (1 <= pos <= self.n + 1):
             raise IndexOutOfRange(str(pos))
-        atf = new.atf if isinstance(new, ActionAtf) else new
-        aid = new.action_id if isinstance(new, ActionAtf) else None
         self.flush()
         if self._single is not None:
-            self._actions.insert(pos - 1, atf)
-            self._ids.insert(pos - 1, aid)
+            self._actions.insert(pos - 1, new)
             self._single = _Bst(self._actions, self.counter)
             self._pre = self._single.pre
             self._suf = self._single.suf
         else:
             bi = self._block_of(pos) if pos <= self.n else len(self._blocks) - 1
-            self._actions.insert(pos - 1, atf)
-            self._ids.insert(pos - 1, aid)
+            self._actions.insert(pos - 1, new)
             start, old_bst = self._blocks[bi]
             local = self._actions[start:start + old_bst.L + 1]
             self._blocks[bi][1] = _Bst(local, self.counter)
             for later in self._blocks[bi + 1:]:
                 later[0] += 1
             self._top.update_action(bi + 1, self._blocks[bi][1].full())
-            n = self.n
-            self._pre = [None] * (n + 1)
-            self._suf = [None] * (n + 1)
-            for j in range(1, n + 1):
-                self._pre[j] = self._c(self._pre[j - 1], self._actions[j - 1])
-            for i in range(n - 1, -1, -1):
-                self._suf[i] = self._c(self._actions[i], self._suf[i + 1])
+            self._pre = [None] * (self.n + 1)
+            self._suf = [None] * (self.n + 1)
+            _refresh_ends(self._c, self._actions, self._pre, self._suf, 1, self.n)
         self._bump_struct()
 
     def _bump_struct(self):
@@ -394,9 +346,7 @@ class SegmentStore:
         self.flush()
         cur = self._query(0, first - 1) if first > 1 else None
         for a in replacements:
-            if a is None:
-                continue
-            cur = self._c(cur, a.atf if isinstance(a, ActionAtf) else a)
+            cur = self._c(cur, a)
         if last < self.n:
             cur = self._c(cur, self._query(last, self.n))
         if cur is None:
@@ -426,21 +376,3 @@ class SegmentStore:
         cur = self._c(cur, a_d)
         cur = self._c(cur, self._query(j, n))
         return cur
-
-    def eval_removal(self, first, last, bridge):
-        """Tour ATF with actions first..last replaced by a caller-supplied
-        bridge ATF (serve the predecessor, travel to the successor)."""
-        return self.eval_splice(first, last, [bridge])
-
-
-def eval_swap(store_a, seg_a, store_b, seg_b, repl_a, repl_b):
-    """Tour ATFs after exchanging contiguous action ranges between tours.
-
-    seg_a/seg_b are (first, last) action ranges; repl_a is the replacement
-    chain spliced into tour A (bridge plus the incoming segment's ATFs,
-    usually taken from store_b.query plus a retargeted tail), and repl_b
-    likewise.  Neither store is modified.
-    """
-    atf_a = store_a.eval_splice(seg_a[0], seg_a[1], repl_a)
-    atf_b = store_b.eval_splice(seg_b[0], seg_b[1], repl_b)
-    return atf_a, atf_b

@@ -11,8 +11,9 @@ from tdroute.plf import Atf, EmptyDomain, StepCost
 from tdroute.solver import (Infeasible, Instance, Item, SolverConfig, Solution,
                             Tour, Vehicle, apply_insertion, cheapest_insertion,
                             compute_friends, random_walk, regret_construct,
-                            relocate_pass, segment_swap, select_seeds, solve,
+                            relocate_pass, select_seeds, solve,
                             validate)
+from tdroute.scheduler import CostModel
 from tdroute.solver import engine
 from tdroute.solver.model import build_action
 
@@ -86,6 +87,21 @@ class TestValidate:
         rep = validate(sol, inst)
         assert not rep.feasible
         assert any("late" in v or "empty feasible window" in v for v in rep.violations)
+
+
+class TestVehicleCostModel:
+    def test_cost_model_is_hourly_rate_built_once(self):
+        veh = Vehicle(id=0, start_address=0, end_address=0, avail_lo=0.0,
+                      avail_hi=1000.0, time_cost_per_hour=37.5)
+        model, want = veh.cost_model, CostModel.hourly(37.5)
+        assert (model.c_ot.xs, model.c_ot.ys, model.c_ot.final_slope) == (
+            want.c_ot.xs, want.c_ot.ys, want.c_ot.final_slope)
+        assert (model.c_wt.init, model.c_wt.ts, model.c_wt.cs) == (
+            want.c_wt.init, want.c_wt.ts, want.c_wt.cs)
+        assert veh.cost_model is model
+        # the cached model is not a field: equality and hashing are unchanged
+        twin = dataclasses.replace(veh)
+        assert twin == veh and hash(twin) == hash(veh)
 
 
 class TestCheapestInsertion:
@@ -252,52 +268,6 @@ class TestRegretConstruct:
                 best_key = key
         picked, _, _ = select_next_by_regret(inst, sol, pool, _InsertionCache(inst))
         assert picked.id == best_key[2]
-
-
-class TestMoves:
-    def test_segment_swap_identical_tours_no_change(self):
-        inst = grid_instance(8, seed=40, n_vehicles=4)
-        import random
-        sol = regret_construct(inst, random.Random(1))
-        tours = [t for t in sol.tours if t.stops]
-        if len(tours) >= 2:
-            res = segment_swap(inst, tours[0], tours[0])
-            assert res is None
-
-    def test_swap_results_validate(self):
-        inst = grid_instance(16, seed=41, n_vehicles=6)
-        import random
-        sol = regret_construct(inst, random.Random(2))
-        tours = [t for t in sol.tours if t.stops]
-        friends = compute_friends(inst)
-        applied = 0
-        for i in range(len(tours)):
-            for j in range(i + 1, len(tours)):
-                res = segment_swap(inst, tours[i], tours[j], friends=friends)
-                if res is not None:
-                    delta, new_a, new_b = res
-                    before = sol.total_cost
-                    from tdroute.solver.localsearch import apply_swap
-                    apply_swap(sol, tours[i], tours[j], new_a, new_b)
-                    assert validate(sol, inst).feasible
-                    assert sol.total_cost == pytest.approx(before + delta, abs=1e-6)
-                    applied += 1
-                    break
-            if applied:
-                break
-
-    def test_empty_side_swap_is_relocation(self):
-        inst = grid_instance(10, seed=42, n_vehicles=5)
-        import random
-        sol = regret_construct(inst, random.Random(3))
-        tours = [t for t in sol.tours if t.stops]
-        if len(tours) >= 2:
-            res = segment_swap(inst, tours[0], tours[1])
-            if res is not None:
-                _, new_a, new_b = res
-                moved = set(s.item_id for s in tours[0].stops) ^ set(
-                    s.item_id for s in new_a)
-                assert moved  # something moved between the tours
 
 
 class TestRandomWalk:

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from tdroute.plf import EmptyDomain
-from tdroute.touratf import (IndexOutOfRange, SegmentStore, eval_swap,
-                             identity_action)
+from tdroute.plf import Atf, EmptyDomain
+from tdroute.touratf import IndexOutOfRange, SegmentStore
 from oracles import fold_compose, rand_chain, rand_chain_action, same_function
 
 RNG = np.random.default_rng(1312)
+
+# The stores' compose total over the fixed sequence of
+# test_seeded_mixed_edits_keep_ends_left_folds; a prefix/suffix rebuild that
+# composes more than it must changes this number.
+MIXED_EDITS_COMPOSES = 28132
 
 
 def _feasible(atfs):
@@ -34,7 +38,7 @@ class TestQuery:
             assert same_function(st.query(i, i + 1), acts[i])
 
     def test_identity_actions_give_identity(self):
-        acts = [identity_action() for _ in range(7)]
+        acts = [Atf.identity(1e9, t_lo=-1e9) for _ in range(7)]
         st = SegmentStore(acts, k=1)
         full = st.query(0, 7)
         for t in (0.0, 100.0, 5e5):
@@ -71,13 +75,6 @@ class TestUpdates:
         st.update_action(4, acts[3])
         assert same_function(st.query(2, 7), before)
 
-    def test_remove_equals_fold_over_remaining(self):
-        acts = rand_chain(RNG, 10)
-        st = SegmentStore(acts, k=2)
-        st.remove_action(5)
-        rest = acts[:4] + acts[5:]
-        assert same_function(st.query(0, 10), fold_compose(rest), tol=1e-6)
-
     def test_insert_at_end(self):
         acts = rand_chain(RNG, 6)
         st = SegmentStore(acts, k=2)
@@ -102,13 +99,6 @@ class TestUpdates:
                         continue
                     cur = cand
                     st.update_action(idx, na)
-                elif r < 0.75:
-                    idx = int(RNG.integers(1, len(cur) + 1))
-                    cand = cur[:idx - 1] + [identity_action()] + cur[idx:]
-                    if not _feasible(cand):
-                        continue
-                    cur = cand
-                    st.remove_action(idx)
                 else:
                     pos = int(RNG.integers(1, len(cur) + 2))
                     na = rand_chain_action(RNG, frac=pos / (len(cur) + 1))
@@ -123,13 +113,53 @@ class TestUpdates:
                 j = int(RNG.integers(i + 1, len(cur) + 1))
                 assert same_function(st.query(i, j), fresh.query(i, j), tol=1e-6)
 
+    def test_seeded_mixed_edits_keep_ends_left_folds(self):
+        """Every prefix a_{0,j} and suffix a_{i,n} equals a left fold after
+        mixed lazy updates, insertions and queries at k = 1..3, and the
+        stores make exactly MIXED_EDITS_COMPOSES composes in all."""
+        rng = np.random.default_rng(4242)
+        total = 0
+        for k in (1, 2, 3):
+            for _ in range(4):
+                cur = rand_chain(rng, int(rng.integers(4, 30)))
+                st = SegmentStore(cur, k=k)
+                for _ in range(60):
+                    r = rng.random()
+                    n = len(cur)
+                    if r < 0.45:
+                        idx = int(rng.integers(1, n + 1))
+                        na = rand_chain_action(rng, frac=idx / n)
+                        cand = cur[:idx - 1] + [na] + cur[idx:]
+                        if _feasible(cand):
+                            cur = cand
+                            st.update_action(idx, na)
+                    elif r < 0.75:
+                        pos = int(rng.integers(1, n + 2))
+                        na = rand_chain_action(rng, frac=pos / (n + 1))
+                        cand = cur[:pos - 1] + [na] + cur[pos - 1:]
+                        if _feasible(cand):
+                            cur = cand
+                            st.insert_action(pos, na)
+                    else:
+                        cut = int(rng.integers(1, n))
+                        i, j = (0, cut) if rng.random() < 0.5 else (cut, n)
+                        assert same_function(st.query(i, j), fold_compose(cur[i:j]),
+                                             tol=1e-6)
+                n = len(cur)
+                for j in range(1, n + 1):
+                    assert same_function(st.query(0, j), fold_compose(cur[:j]), tol=1e-6)
+                for i in range(n):
+                    assert same_function(st.query(i, n), fold_compose(cur[i:]), tol=1e-6)
+                total += st.compose_count
+        assert total == MIXED_EDITS_COMPOSES
+
 
 class TestEvaluations:
     def test_insertion_identity_actions_no_change(self):
         acts = rand_chain(RNG, 8)
         st = SegmentStore(acts, k=2)
         full = st.query(0, 8)
-        ident = identity_action()
+        ident = Atf.identity(1e9, t_lo=-1e9)
         got = st.eval_insertion(3, 5, acts[2], ident, acts[4], ident)
         assert same_function(got, full, tol=1e-6)
 
@@ -169,7 +199,7 @@ class TestEvaluations:
             l = int(RNG.integers(f, n))
             bridge = rand_chain_action(RNG, frac=f / n)
             try:
-                got = st.eval_removal(f, l, bridge)
+                got = st.eval_splice(f, l, [bridge])
             except EmptyDomain:
                 got = None
             try:
@@ -183,7 +213,7 @@ class TestEvaluations:
     def test_removal_replaced_by_same_action_is_identity(self):
         acts = rand_chain(RNG, 6)
         st = SegmentStore(acts, k=2)
-        got = st.eval_removal(3, 3, acts[2])  # action 3 replaced by itself
+        got = st.eval_splice(3, 3, [acts[2]])  # action 3 replaced by itself
         assert same_function(got, fold_compose(acts), tol=1e-6)
 
     def test_swap_symmetric_tours_unchanged(self):
@@ -192,7 +222,8 @@ class TestEvaluations:
         st_b = SegmentStore(list(acts), k=2)
         seg = (3, 4)
         piece = [acts[2], acts[3]]
-        atf_a, atf_b = eval_swap(st_a, seg, st_b, seg, piece, piece)
+        atf_a = st_a.eval_splice(*seg, piece)
+        atf_b = st_b.eval_splice(*seg, piece)
         assert same_function(atf_a, fold_compose(acts))
         assert same_function(atf_b, fold_compose(acts))
 
@@ -204,14 +235,10 @@ class TestEvaluations:
         # exchange actions 4..5 of A with 6..7 of B
         repl_a = [b_acts[5], b_acts[6]]
         repl_b = [a_acts[3], a_acts[4]]
-        atf_a, atf_b = eval_swap(st_a, (4, 5), st_b, (6, 7), repl_a, repl_b)
+        atf_a = st_a.eval_splice(4, 5, repl_a)
+        atf_b = st_b.eval_splice(6, 7, repl_b)
         assert same_function(atf_a, fold_compose(a_acts[:3] + repl_a + a_acts[5:]))
         assert same_function(atf_b, fold_compose(b_acts[:5] + repl_b + b_acts[7:]))
-
-
-def compose_identity_with(action):
-    """An action equivalent to performing `action`: used as a trivial bridge."""
-    return action
 
 
 class TestBuildBudget:
