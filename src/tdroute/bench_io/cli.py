@@ -44,8 +44,7 @@ def _brackets(spec):
 
 def _config(args):
     return SolverConfig(
-        workers=args.workers, seed=args.seed, mode=args.mode,
-        iterations=args.iterations, time_limit=args.time_limit,
+        seed=args.seed, iterations=args.iterations, time_limit=args.time_limit,
         soft_brackets=_brackets(getattr(args, "soft_windows", None)))
 
 
@@ -131,10 +130,9 @@ def _cmd_bench(args):
 
 
 def _add_solver_args(p):
-    p.add_argument("--mode", choices=["default", "high-effort"], default="default")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", "-W", type=int, default=1)
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--iterations", type=int, default=SolverConfig.iterations,
+                   help="random-walk moves (default %(default)s)")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--soft-windows", default=None,
                    help="penalty brackets, e.g. '15:1,10:2,5:4'")

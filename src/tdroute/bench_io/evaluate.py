@@ -9,13 +9,12 @@ histogram (how close the on-time starts run to their deadlines).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 
 from ..plf import Atf, EmptyDomain, compose
 from ..scheduler import optimal_start
-from ..solver.model import FAR_FUTURE, build_actions
+from ..solver.model import FAR_FUTURE, build_actions, schedule_tour
 
 SLACK_BUCKETS = ("[10,15)", "[5,10)", "[0,5)", "late")
 
@@ -98,12 +97,9 @@ def evaluate_under(instance, solution):
             continue
         veh = tour.vehicle
         stops = tour.stops
-        model = veh.cost_model
-        max_dur = None if math.isinf(veh.max_duration) else veh.max_duration
-        sched = None
         try:
             strict = reduce(compose, build_actions(instance, veh, stops, tour.brackets))
-            sched = optimal_start(strict, model, max_duration=max_dur)
+            sched = schedule_tour(veh, strict)
         except EmptyDomain:
             sched = None
         if sched is not None:
@@ -112,7 +108,7 @@ def evaluate_under(instance, solution):
             rows, _ = _simulate(instance, veh, stops, t0)
         else:
             relaxed = reduce(compose, _relaxed_actions(instance, veh, stops))
-            base = optimal_start(relaxed, model)
+            base = optimal_start(relaxed, veh.cost_model)
             cands = {base.t0}
             for t in relaxed.ts:
                 if veh.avail_lo <= t <= relaxed.t_max:

@@ -8,8 +8,9 @@ cost pieces, which keeps files human-diffable and language-agnostic.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from ..plf import Atf, StepCost
+from ..plf import Atf, EmptyDomain, StepCost
 from ..solver import Instance, Item, Solution, Tour, Vehicle
 
 
@@ -75,6 +76,42 @@ def _floats(tokens, line_no):
         raise ParseError(str(e), line_no)
 
 
+def _ints(tokens, line_no):
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as e:
+        raise ParseError(str(e), line_no)
+
+
+def _parse_arc(tok, n, line_no):
+    """(p, q, Atf) from the tokens of one arc line:
+    a p q b t1 v1 .. tb vb c init k t1 c1 .. tk ck."""
+    if len(tok) < 4:
+        raise ParseError("truncated arc line", line_no)
+    p, q, b = _ints(tok[1:4], line_no)
+    if not (0 <= p < n and 0 <= q < n):
+        raise ParseError(f"arc {p}->{q} outside the {n} addresses", line_no)
+    c = 4 + 2 * max(b, 0)  # the cost marker
+    if len(tok) < c + 3:
+        raise ParseError("truncated arc line", line_no)
+    if tok[c] != "c":
+        raise ParseError("expected cost marker", line_no)
+    [init] = _floats(tok[c + 1:c + 2], line_no)
+    [k] = _ints(tok[c + 2:c + 3], line_no)
+    if len(tok) != c + 3 + 2 * max(k, 0):
+        raise ParseError(f"arc line has {len(tok)} tokens for {b} breakpoints "
+                         f"and {k} cost pieces", line_no)
+    vals = _floats(tok[4:c], line_no)
+    cvals = _floats(tok[c + 3:], line_no)
+    try:
+        atf = Atf(zip(vals[0::2], vals[1::2]),
+                  cost=StepCost(init, list(zip(cvals[0::2], cvals[1::2]))))
+    except ValueError as e:
+        raise ParseError(f"arc {p}->{q}: {e}", line_no)
+    atf.check_invariants()
+    return p, q, atf
+
+
 def parse_instance_text(text):
     lines = text.splitlines()
     idx = 0
@@ -88,83 +125,59 @@ def parse_instance_text(text):
                 return ln, idx
         raise ParseError("unexpected end of file", idx)
 
-    header, ln_no = next_line()
-    if not header.startswith("TDROUTE-INSTANCE"):
-        raise ParseError("not a tdroute instance file", ln_no)
-    fields = {}
-    for key in ("name", "addresses", "depot", "horizon"):
+    def record(key, n_values):
+        """The values of the next line, which must be key and n_values more."""
         ln, ln_no = next_line()
         tok = ln.split()
         if tok[0] != key:
             raise ParseError(f"expected '{key}', got '{tok[0]}'", ln_no)
-        fields[key] = tok[1:]
-    name = fields["name"][0]
-    n = int(fields["addresses"][0])
-    depot = int(fields["depot"][0])
-    horizon = tuple(_floats(fields["horizon"], ln_no))
+        if len(tok) != n_values + 1:
+            raise ParseError(f"'{key}' line has {len(tok) - 1} values, "
+                             f"expected {n_values}", ln_no)
+        return tok[1:], ln_no
 
-    ln, ln_no = next_line()
-    if not ln.startswith("vehicles"):
-        raise ParseError("expected vehicles section", ln_no)
-    n_veh = int(ln.split()[1])
+    header, ln_no = next_line()
+    if not header.startswith("TDROUTE-INSTANCE"):
+        raise ParseError("not a tdroute instance file", ln_no)
+    (name,), _ = record("name", 1)
+    [n] = _ints(*record("addresses", 1))
+    [depot] = _ints(*record("depot", 1))
+    horizon = tuple(_floats(*record("horizon", 2)))
+
+    [n_veh] = _ints(*record("vehicles", 1))
     vehicles = []
     for _ in range(n_veh):
-        ln, ln_no = next_line()
-        tok = ln.split()
-        if tok[0] != "v":
-            raise ParseError("expected vehicle line", ln_no)
-        vals = _floats(tok[4:], ln_no)
+        tok, ln_no = record("v", 9)
+        vid, start, end = _ints(tok[:3], ln_no)
+        lo, hi, fixed, rate, max_dur, cap = _floats(tok[3:], ln_no)
         vehicles.append(Vehicle(
-            id=int(tok[1]), start_address=int(tok[2]), end_address=int(tok[3]),
-            avail_lo=vals[0], avail_hi=vals[1], fixed_cost=vals[2],
-            time_cost_per_hour=vals[3], max_duration=vals[4], capacity=vals[5]))
+            id=vid, start_address=start, end_address=end, avail_lo=lo,
+            avail_hi=hi, fixed_cost=fixed, time_cost_per_hour=rate,
+            max_duration=max_dur, capacity=cap))
 
-    ln, ln_no = next_line()
-    if not ln.startswith("items"):
-        raise ParseError("expected items section", ln_no)
-    n_items = int(ln.split()[1])
+    [n_items] = _ints(*record("items", 1))
     items = []
     for _ in range(n_items):
-        ln, ln_no = next_line()
-        tok = ln.split()
-        if tok[0] != "i":
-            raise ParseError("expected item line", ln_no)
-        vals = _floats(tok[4:5] + tok[5:], ln_no)
+        tok, ln_no = record("i", 12)
+        iid, p_addr, d_addr = _ints(tok[0:1] + tok[2:3] + tok[6:7], ln_no)
+        p_open, p_close, p_dur = _floats(tok[3:6], ln_no)
+        d_open, d_close, d_dur, demand, penalty = _floats(tok[7:], ln_no)
         items.append(Item(
-            id=int(tok[1]), depot_pickup=tok[2] == "1",
-            pickup_address=int(tok[3]), pickup_open=float(tok[4]),
-            pickup_close=float(tok[5]), pickup_duration=float(tok[6]),
-            delivery_address=int(tok[7]), delivery_open=float(tok[8]),
-            delivery_close=float(tok[9]), delivery_duration=float(tok[10]),
-            demand=float(tok[11]), penalty=float(tok[12])))
+            id=iid, depot_pickup=tok[1] == "1",
+            pickup_address=p_addr, pickup_open=p_open,
+            pickup_close=p_close, pickup_duration=p_dur,
+            delivery_address=d_addr, delivery_open=d_open,
+            delivery_close=d_close, delivery_duration=d_dur,
+            demand=demand, penalty=penalty))
 
-    ln, ln_no = next_line()
-    if not ln.startswith("arcs"):
-        raise ParseError("expected arcs section", ln_no)
-    n_arcs = int(ln.split()[1])
+    [n_arcs] = _ints(*record("arcs", 1))
     matrix = [[None] * n for _ in range(n)]
     for _ in range(n_arcs):
         ln, ln_no = next_line()
         tok = ln.split()
         if tok[0] != "a":
             raise ParseError("expected arc line", ln_no)
-        p, q, b = int(tok[1]), int(tok[2]), int(tok[3])
-        pos = 4
-        pts = []
-        for _ in range(b):
-            pts.append((float(tok[pos]), float(tok[pos + 1])))
-            pos += 2
-        if tok[pos] != "c":
-            raise ParseError("expected cost marker", ln_no)
-        init = float(tok[pos + 1])
-        k = int(tok[pos + 2])
-        pos += 3
-        pieces = []
-        for _ in range(k):
-            pieces.append((float(tok[pos]), float(tok[pos + 1])))
-            pos += 2
-        atf = Atf(pts, cost=StepCost(init, pieces))
-        atf.check_invariants()
+        p, q, atf = _parse_arc(tok, n, ln_no)
         matrix[p][q] = atf
     ln, ln_no = next_line()
     if ln != "end":
@@ -204,8 +217,22 @@ def write_solution(sol, path):
         f.write(serialize_solution(sol))
 
 
-def read_solution(path, instance, brackets=()):
-    """Rebuild a Solution against its instance."""
+@dataclass
+class UnscheduledTour:
+    """A tour read from a solution file that has no feasible schedule under
+    the instance it was read against.  validate() reports it and
+    evaluate_under reschedules it with relaxed windows; its cost is
+    unknown, hence infinite."""
+
+    vehicle: Vehicle
+    stops: list
+    brackets: tuple = ()
+    cost: float = math.inf
+
+
+def read_solution(path, instance):
+    """Rebuild a Solution against its instance.  Tours that cannot be
+    scheduled under it come back as UnscheduledTour."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or not lines[0].startswith("TDROUTE-SOLUTION"):
@@ -216,14 +243,15 @@ def read_solution(path, instance, brackets=()):
     for ln_no, ln in enumerate(lines[1:], start=2):
         tok = ln.split()
         if tok[0] == "unserved":
-            unserved = {int(x) for x in tok[2:]}
+            unserved = set(_ints(tok[2:], ln_no))
         elif tok[0] == "t":
-            vid = int(tok[1])
+            [vid] = _ints(tok[1:2], ln_no)
             if vid not in veh_by_id:
                 raise ParseError(f"unknown vehicle {vid}", ln_no)
             stops = []
             for st in tok[4:]:
-                kind, item_id = st[0], int(st[1:])
+                kind = st[0]
+                [item_id] = _ints([st[1:]], ln_no)
                 item = instance.item_by_id.get(item_id)
                 if item is None:
                     raise ParseError(f"unknown item {item_id}", ln_no)
@@ -233,5 +261,8 @@ def read_solution(path, instance, brackets=()):
                         break
                 else:
                     raise ParseError(f"item {item_id} has no {kind} stop", ln_no)
-            tours.append(Tour(instance, veh_by_id[vid], stops, brackets))
+            try:
+                tours.append(Tour(instance, veh_by_id[vid], stops))
+            except EmptyDomain:
+                tours.append(UnscheduledTour(veh_by_id[vid], stops))
     return Solution(instance, tours, unserved)

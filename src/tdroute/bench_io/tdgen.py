@@ -100,7 +100,7 @@ def td_arc(free_flow, profile, horizon, cost=None, eps=None):
 
 
 def generate_td(base, profiles=DEFAULT_PROFILES, rng=None,
-                regenerate_windows=False, window_scheme=None, eps=None):
+                regenerate_windows=False):
     """Replace a constant-ATF instance's arcs by time-dependent ones.
 
     Every arc draws one profile (seeded rng keeps this reproducible); arc
@@ -118,24 +118,23 @@ def generate_td(base, profiles=DEFAULT_PROFILES, rng=None,
             arc = base.matrix[p][q]
             free = arc.travel_bounds().lo
             prof = profiles[int(rng.integers(0, len(profiles)))]
-            row.append(td_arc(free, prof, base.horizon, cost=arc.cost, eps=eps))
+            row.append(td_arc(free, prof, base.horizon, cost=arc.cost))
         matrix.append(row)
     items = base.items
     if regenerate_windows:
-        scheme = window_scheme or default_window_scheme(base.horizon)
+        scheme = default_window_scheme(base.horizon)
         items = [scheme(it, rng) for it in items]
     return Instance(base.name + "_td", matrix, items, base.vehicles,
                     horizon=base.horizon, depot=base.depot)
 
 
-def default_window_scheme(horizon, wide=None):
+def default_window_scheme(horizon):
     """The half-hour-grid window scheme: 50% one-hour windows."""
     lo, hi = horizon
     first = lo + 0.5 * HOUR
-    wide_window = wide or (first, hi)
     starts = []
     s = first
-    while s + HOUR <= wide_window[1] - 0.5 * HOUR:
+    while s + HOUR <= hi - 0.5 * HOUR:
         starts.append(s)
         s += 0.5 * HOUR
 
@@ -143,7 +142,7 @@ def default_window_scheme(horizon, wide=None):
         if rng.random() < 0.5 and starts:
             w0 = float(starts[int(rng.integers(0, len(starts)))])
             return _with_window(item, w0, w0 + HOUR)
-        return _with_window(item, wide_window[0], wide_window[1])
+        return _with_window(item, first, hi)
 
     return scheme
 

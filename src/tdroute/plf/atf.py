@@ -173,7 +173,7 @@ class Atf:
 
     __slots__ = ("ts", "vs", "cost")
 
-    def __init__(self, points=(), cost=None, validate=True, *, ts=None, vs=None):
+    def __init__(self, points=(), cost=None, *, ts=None, vs=None):
         """Breakpoints come as (t, v) pairs, or as parallel lists of floats
         ts and vs."""
         if ts is None:
@@ -185,8 +185,7 @@ class Atf:
         if not ts:
             raise ValueError("an ATF needs at least one breakpoint")
         ts, vs = _normalize_points(ts, vs)
-        if validate:
-            _validate(ts, vs)
+        _validate(ts, vs)
         self.ts = tuple(ts)
         self.vs = tuple(vs)
         self.cost = cost if cost is not None else ZERO_COST

@@ -111,14 +111,6 @@ class AffineEnvelope:
         hi = bisect_left(self.xs, x_hi) + 1
         return self.lines[lo:hi]
 
-    def to_piecewise(self, x_lo, x_hi):
-        pts = [(x_lo, self.eval(x_lo))]
-        for x in self.xs:
-            if x_lo < x < x_hi:
-                pts.append((x, self.eval(x)))
-        pts.append((x_hi, self.eval(x_hi)))
-        return PiecewiseLinear(pts)
-
 
 def envelope_affine(lines):
     """Lower envelope of lines given sorted by non-decreasing slope.

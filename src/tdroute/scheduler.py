@@ -89,7 +89,6 @@ class ScheduleResult:
     cost_overtime: float     # c_ot(duration)
     cost_worktime: float     # integral of c_wt
     duration: float
-    min_duration: float      # least duration over the whole start window
     events_scanned: int = 0
 
     @property
@@ -174,13 +173,9 @@ def optimal_start(a, model=ZERO_MODEL, max_duration=None):
 
     best_t = None
     best_cost = None
-    min_dur = None
     for t in sorted(events):
         t = min(max(t, t_lo), t_hi)
-        d = a.eval(t) - t
-        if min_dur is None or d < min_dur:
-            min_dur = d
-        if max_duration is not None and d > max_duration + 1e-9:
+        if max_duration is not None and a.eval(t) - t > max_duration + 1e-9:
             continue
         c = total_cost(a, model, t)
         if best_cost is None or c < best_cost - 1e-12:
@@ -196,7 +191,6 @@ def optimal_start(a, model=ZERO_MODEL, max_duration=None):
         cost_overtime=model.c_ot.eval(max(arrival - best_t, 0.0)),
         cost_worktime=_wt_integral(model.c_wt, best_t, arrival),
         duration=arrival - best_t,
-        min_duration=min_dur,
         events_scanned=len(events),
     )
 

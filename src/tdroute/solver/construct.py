@@ -121,7 +121,7 @@ def new_tour_cost(instance, vehicle, item):
     return vehicle.fixed_cost + plan.delta_cost + tour.schedule.total_cost, plan
 
 
-def regret_construct(instance, rng, seeds=None, brackets=(), cache=None,
+def regret_construct(instance, rng, brackets=(), cache=None,
                      solution=None, items=None, improve_hook=None):
     """Insert items by maximum average regret.
 
@@ -132,10 +132,8 @@ def regret_construct(instance, rng, seeds=None, brackets=(), cache=None,
     """
     if solution is None:
         solution = Solution(instance)
-        if seeds is None:
-            seeds = select_seeds(instance)
         free = solution.free_vehicles()
-        for seed in seeds:
+        for seed in select_seeds(instance):
             if not free:
                 break
             veh = free.pop(0)

@@ -1,4 +1,4 @@
-"""Top-level solve loop: parallel-style workers, shared incumbent."""
+"""Top-level solve loop: construction, relocation, two ruin-and-recreate walks."""
 
 from __future__ import annotations
 
@@ -12,27 +12,19 @@ from .localsearch import random_walk, relocate_pass
 
 @dataclass
 class SolverConfig:
-    workers: int = 1
     seed: int = 0
-    mode: str = "default"          # or "high-effort": more walk iterations
-    iterations: int | None = None  # override the mode's walk budget
+    iterations: int = 60           # walk budget; the post-walk gets half
     time_limit: float | None = None
     soft_brackets: tuple = ()
-
-    def walk_budget(self):
-        if self.iterations is not None:
-            return self.iterations
-        return 240 if self.mode == "high-effort" else 60
 
 
 def solve(instance, config=None):
     """Construct and improve a solution.
 
-    Workers run seed selection, regret construction, and random walks with
-    distinct rngs; the best result is then post-optimized by every worker.
-    Workers execute sequentially (exchange points keep the same structure a
-    parallel run would have), so the result is deterministic for a fixed
-    seed regardless of the worker count.
+    Regret construction (relocating every 25 insertions) is followed by a
+    relocation pass, a random walk of ``iterations`` moves, then a second
+    walk of half that budget with its own rng.  The result is
+    deterministic for a fixed seed.
     """
     config = config or SolverConfig()
     try:
@@ -43,7 +35,7 @@ def solve(instance, config=None):
 
 def _solve(instance, config):
     t_start = time.monotonic()
-    budget = config.walk_budget()
+    budget = config.iterations
     brackets = tuple(config.soft_brackets)
 
     def remaining():
@@ -51,31 +43,17 @@ def _solve(instance, config):
             return None
         return max(0.0, config.time_limit - (time.monotonic() - t_start))
 
-    candidates = []
-    for w in range(max(1, config.workers)):
-        rng = random.Random(10007 * config.seed + 7919 * w + 13)
-        sol = regret_construct(
-            instance, rng, brackets=brackets,
-            improve_hook=lambda s: relocate_pass(instance, s))
-        relocate_pass(instance, sol)
-        if budget > 0:
-            sol = random_walk(instance, sol, rng, budget, brackets,
-                              time_limit=remaining())
-        candidates.append(sol)
-        if remaining() is not None and remaining() <= 0:
-            break
-
-    best = min(range(len(candidates)), key=lambda i: (candidates[i].total_cost, i))
-    incumbent = candidates[best]
-
-    # post-optimize the shared incumbent with every worker's rng
-    post_budget = max(1, budget // 2)
+    rng = random.Random(10007 * config.seed + 13)
+    sol = regret_construct(
+        instance, rng, brackets=brackets,
+        improve_hook=lambda s: relocate_pass(instance, s))
+    relocate_pass(instance, sol)
     if budget > 0:
-        for w in range(max(1, config.workers)):
-            if remaining() is not None and remaining() <= 0:
-                break
-            rng = random.Random(20011 * config.seed + 104729 * w + 41)
-            incumbent = random_walk(instance, incumbent, rng, post_budget,
-                                    brackets, time_limit=remaining())
-    incumbent.drop_empty_tours()
-    return incumbent
+        sol = random_walk(instance, sol, rng, budget, brackets,
+                          time_limit=remaining())
+        if remaining() is None or remaining() > 0:
+            rng = random.Random(20011 * config.seed + 41)
+            sol = random_walk(instance, sol, rng, max(1, budget // 2),
+                              brackets, time_limit=remaining())
+    sol.drop_empty_tours()
+    return sol

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 
 from ..plf import EmptyDomain
-from .construct import _InsertionCache, compute_friends, regret_construct
+from .construct import _InsertionCache, regret_construct
 from .insertion import apply_insertion
 from .model import schedule_tour
 
@@ -34,7 +34,7 @@ def _item_runs(tour, max_len=L_MAX):
     return runs
 
 
-def relocate_pass(instance, solution, cache=None, friends=None, max_sweeps=None):
+def relocate_pass(instance, solution, cache=None, max_sweeps=None):
     """Move single items to their cheapest other tour while it helps."""
     cache = cache or _InsertionCache(instance)
     any_gain = False
@@ -113,15 +113,13 @@ def eval_without_positions(tour, idxs):
     return tour.store.eval_splice(e1 + 1, e2 + 2, repl)
 
 
-def random_walk(instance, solution, rng, budget, brackets=(), time_limit=None,
-                on_accept=None):
+def random_walk(instance, solution, rng, budget, brackets=(), time_limit=None):
     """Ruin-and-recreate: alternately tear out a random run or dissolve a
     whole tour, reinsert by regret, keep the result iff it is not worse."""
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     incumbent = solution.clone_state()
     incumbent_cost = solution.total_cost
     cache = _InsertionCache(instance)
-    friends = compute_friends(instance)
     for it in range(budget):
         if deadline is not None and time.monotonic() >= deadline:
             break
@@ -152,16 +150,13 @@ def random_walk(instance, solution, rng, budget, brackets=(), time_limit=None,
             solution.drop_empty_tours()
             regret_construct(instance, rng, brackets=brackets, cache=cache,
                              solution=solution, items=removed)
-            relocate_pass(instance, solution, cache=cache, friends=friends,
-                          max_sweeps=1)
+            relocate_pass(instance, solution, cache=cache, max_sweeps=1)
             cost = solution.total_cost
         except EmptyDomain:
             cost = None
         if cost is not None and cost <= incumbent_cost + _IMPROVE_EPS:
             incumbent = solution.clone_state()
             incumbent_cost = min(cost, incumbent_cost)
-            if on_accept is not None:
-                on_accept(solution)
         else:
             solution.restore_state(incumbent, brackets)
     solution.restore_state(incumbent, brackets)

@@ -245,35 +245,29 @@ class Tour:
         eat = [0.0] * m
         t = veh.avail_lo
         prev = veh.start_address
-        feasible = True
         for i, s in enumerate(stops):
             try:
                 arr = inst.arc(prev, s.address).eval(t)
             except OutOfDomain:
-                feasible = False
                 break
             start = max(arr, s.open)
             eat[i] = start
             t = start + s.duration
             prev = s.address
         self.eat = eat
-        self.eat_feasible = feasible
         lst = [0.0] * (m + 1)
         cap = min(veh.avail_hi, FAR_FUTURE)
         lst[m] = cap
         nxt = veh.end_address
-        ok = True
         for i in range(m - 1, -1, -1):
             s = stops[i]
             dep = inst.arc(s.address, nxt).latest_departure(lst[i + 1])
             if dep is None:
-                ok = False
                 lst[i] = -math.inf
             else:
                 lst[i] = min(s.close, dep - s.duration)
             nxt = s.address
         self.lst = lst
-        self.lst_feasible = ok
         preload = sum(inst.item_by_id[s.item_id].demand
                       for s in stops if s.kind == "D"
                       and inst.item_by_id[s.item_id].depot_pickup)

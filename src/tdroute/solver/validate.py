@@ -8,13 +8,11 @@ first one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 
 from ..plf import EmptyDomain, compose
-from ..scheduler import optimal_start
-from .model import build_actions
+from .model import build_actions, schedule_tour
 
 _TOL = 1e-6
 
@@ -77,8 +75,7 @@ def validate(solution, instance):
         except EmptyDomain:
             rep.add(f"tour {ti} (vehicle {veh.id}) has an empty feasible window")
             continue
-        max_dur = None if math.isinf(veh.max_duration) else veh.max_duration
-        sched = optimal_start(atf, veh.cost_model, max_duration=max_dur)
+        sched = schedule_tour(veh, atf)
         if sched is None:
             rep.add(f"tour {ti} cannot satisfy the duration limit")
             continue

@@ -230,7 +230,7 @@ def test_criterion_5_solomon_quality():
         inst = parse_solomon(str(path))
         bk_vehicles, bk_distance = BEST_KNOWN_SOLOMON_100[name]
         t0 = time.monotonic()
-        sol = solve(inst, SolverConfig(seed=1, mode="default", time_limit=110.0))
+        sol = solve(inst, SolverConfig(seed=1, time_limit=110.0))
         wall = time.monotonic() - t0
         rep = validate(sol, inst)
         distance = sum(t.schedule.cost_departure for t in sol.tours)
@@ -318,7 +318,7 @@ def test_criterion_8_determinism(tmp_path):
     for idx, inst in enumerate(instances):
         files = []
         for run in (0, 1):
-            sol = solve(inst, SolverConfig(seed=7, workers=1, iterations=5))
+            sol = solve(inst, SolverConfig(seed=7, iterations=5))
             p = tmp_path / f"det_{idx}_{run}.sol"
             write_solution(sol, str(p))
             files.append(p.read_bytes())

@@ -196,6 +196,46 @@ class TestSolutionFiles:
         assert validate(again, base).feasible
 
 
+@pytest.fixture(scope="module")
+def late_plan(tmp_path_factory):
+    """A plan made under average travel times that runs late under the TD
+    instance: (TD instance path, solution path, in-memory evaluation)."""
+    td = generate_td(make_benchmark_instance(30, seed=3), rng=np.random.default_rng(3))
+    sol = solve(flatten(td, "average"), SolverConfig(seed=1, iterations=3))
+    d = tmp_path_factory.mktemp("late")
+    write_instance(td, str(d / "td.txt"))
+    write_solution(sol, str(d / "avg.sol"))
+    return str(d / "td.txt"), str(d / "avg.sol"), evaluate_under(td, sol)
+
+
+def _malform(text, prefix, edit):
+    """text with edit applied to the first line that starts with prefix."""
+    lines = text.splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    lines[i] = edit(lines[i])
+    return "\n".join(lines) + "\n"
+
+
+class TestMalformedInstance:
+    CASES = {
+        "truncated item line": ("i ", lambda ln: ln.rsplit(" ", 1)[0]),
+        "truncated arc line": ("a ", lambda ln: " ".join(ln.split()[:7])),
+        "non-numeric arc token": ("a ", lambda ln: ln.replace(ln.split()[4], "4320x", 1)),
+        "non-integer vehicle id": ("v ", lambda ln: "v zero " + ln.split(" ", 2)[2]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_parse_error_and_exit_2(self, tmp_path, case):
+        prefix, edit = self.CASES[case]
+        text = _malform(serialize_instance(make_benchmark_instance(3, seed=1)),
+                        prefix, edit)
+        with pytest.raises(ParseError):
+            parse_instance_text(text)
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert cli_main(["solve", str(path), "-o", str(tmp_path / "x.sol")]) == 2
+
+
 class TestCli:
     def test_solve_validate_roundtrip(self, tmp_path, mini_solomon):
         out = tmp_path / "mini.sol"
@@ -208,7 +248,7 @@ class TestCli:
         a = tmp_path / "a.sol"
         b = tmp_path / "b.sol"
         for out in (a, b):
-            rc = cli_main(["solve", mini_solomon, "--seed", "7", "--workers", "1",
+            rc = cli_main(["solve", mini_solomon, "--seed", "7",
                            "--iterations", "4", "-o", str(out)])
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
@@ -244,6 +284,26 @@ class TestCli:
         lines = report.read_text().strip().splitlines()
         assert lines[0] == "instance,tours,cost,time_s"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("flag", [["--workers", "1"], ["-W", "1"],
+                                      ["--mode", "default"]],
+                             ids=["workers", "W", "mode"])
+    def test_removed_solver_flags_exit_2(self, tmp_path, mini_solomon, flag):
+        assert cli_main(["solve", mini_solomon, *flag,
+                         "-o", str(tmp_path / "x.sol")]) == 2
+
+    def test_validate_reports_unschedulable_plan(self, late_plan, capsys):
+        td_path, sol_path, _ = late_plan
+        assert cli_main(["validate", td_path, sol_path]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("infeasible:")
+        assert "has an empty feasible window" in out
+
+    def test_evaluate_reports_late_plan(self, late_plan, capsys):
+        td_path, sol_path, report = late_plan
+        assert report.n_late >= 1
+        assert cli_main(["evaluate", td_path, sol_path]) == 1
+        assert capsys.readouterr().out == f"{report}\n"
 
     def test_usage_error_exit_2(self, tmp_path):
         assert cli_main(["solve", str(tmp_path / "missing.txt"),
