@@ -234,13 +234,15 @@ def read_solution(path, instance):
     """Rebuild a Solution against its instance.  Tours that cannot be
     scheduled under it come back as UnscheduledTour."""
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or not lines[0].startswith("TDROUTE-SOLUTION"):
-        raise ParseError("not a tdroute solution file", 1)
+        # number the lines before dropping blank ones, so errors name the
+        # line as an editor shows it
+        lines = [(no, ln.strip()) for no, ln in enumerate(f, start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("TDROUTE-SOLUTION"):
+        raise ParseError("not a tdroute solution file", lines[0][0] if lines else 1)
     unserved = set()
     tours = []
     veh_by_id = {v.id: v for v in instance.vehicles}
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines[1:]:
         tok = ln.split()
         if tok[0] == "unserved":
             unserved = set(_ints(tok[2:], ln_no))

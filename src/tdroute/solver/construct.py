@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 from ..plf import EmptyDomain
-from .insertion import Infeasible, apply_insertion, cheapest_insertion
+from .insertion import apply_insertion, best_insertion
 from .model import Solution, Tour
 
 NO_VEHICLE_COST = 1e6
@@ -91,38 +91,20 @@ def select_seeds(instance):
     return seeds
 
 
-class _InsertionCache:
-    """Best-known insertion of each unserved item into each tour."""
-
-    def __init__(self, instance):
-        self.instance = instance
-        self.entries = {}  # (item_id, tour_uid) -> (revision, plan | None)
-
-    def best(self, tour, item):
-        key = (item.id, tour.uid)
-        hit = self.entries.get(key)
-        if hit is not None and hit[0] == tour.revision:
-            return hit[1]
-        try:
-            plan = cheapest_insertion(self.instance, tour, item)
-        except Infeasible:
-            plan = None
-        self.entries[key] = (tour.revision, plan)
-        return plan
-
-
 def new_tour_cost(instance, vehicle, item):
     """Cost of opening a fresh tour for the item alone, or None."""
     try:
         tour = Tour(instance, vehicle, [])
-        plan = cheapest_insertion(instance, tour, item)
-    except (EmptyDomain, Infeasible):
+    except EmptyDomain:
+        return None, None
+    plan = best_insertion(instance, tour, item)
+    if plan is None:
         return None, None
     return vehicle.fixed_cost + plan.delta_cost + tour.schedule.total_cost, plan
 
 
-def regret_construct(instance, rng, brackets=(), cache=None,
-                     solution=None, items=None, improve_hook=None):
+def regret_construct(instance, rng, brackets=(), solution=None, items=None,
+                     improve_hook=None):
     """Insert items by maximum average regret.
 
     The regret of an item is the mean of its insertion cost over all open
@@ -138,9 +120,8 @@ def regret_construct(instance, rng, brackets=(), cache=None,
                 break
             veh = free.pop(0)
             tour = Tour(instance, veh, [], brackets)
-            try:
-                plan = cheapest_insertion(instance, tour, seed)
-            except Infeasible:
+            plan = best_insertion(instance, tour, seed)
+            if plan is None:
                 solution.unserved.add(seed.id)
                 continue
             apply_insertion(tour, seed, plan)
@@ -151,11 +132,10 @@ def regret_construct(instance, rng, brackets=(), cache=None,
     else:
         pool = list(items or [])
 
-    cache = cache or _InsertionCache(instance)
     nt_cache = {}
     inserted = 0
     while pool:
-        best_pick = select_next_by_regret(instance, solution, pool, cache, nt_cache)
+        best_pick = select_next_by_regret(instance, solution, pool, nt_cache)
         if best_pick is None:
             for item in pool:
                 solution.unserved.add(item.id)
@@ -173,7 +153,7 @@ def regret_construct(instance, rng, brackets=(), cache=None,
     return solution
 
 
-def select_next_by_regret(instance, solution, pool, cache, nt_cache=None):
+def select_next_by_regret(instance, solution, pool, nt_cache=None):
     """The unserved item of maximum average regret and its best insertion.
 
     Ties go to the lower best insertion cost, then the smaller item id.
@@ -183,7 +163,7 @@ def select_next_by_regret(instance, solution, pool, cache, nt_cache=None):
     best_pick = None
     free = solution.free_vehicles()
     for item in sorted(pool, key=lambda it: it.id):
-        plans = [(t, cache.best(t, item)) for t in solution.tours]
+        plans = [(t, best_insertion(instance, t, item)) for t in solution.tours]
         if free:
             if item.id not in nt_cache:
                 nt_cache[item.id] = new_tour_cost(instance, free[0], item)

@@ -30,7 +30,7 @@ def solve(instance, config=None):
     try:
         return _solve(instance, config)
     finally:
-        instance.clear_action_memo()
+        instance.clear_memos()
 
 
 def _solve(instance, config):

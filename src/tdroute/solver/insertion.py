@@ -9,18 +9,16 @@ pruned scan returns the same best move as an exhaustive one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..plf import EmptyDomain
 from .model import schedule_tour
 
 
-@dataclass(frozen=True)
-class InsertionPlan:
+class InsertionPlan(NamedTuple):
     pickup_pos: int | None  # None when the item is preloaded at the depot
     delivery_pos: int
     delta_cost: float
-    schedule: object
 
 
 class Infeasible(Exception):
@@ -64,6 +62,18 @@ def eval_pair_insertion(tour, p, q, p_stop, d_stop):
     return tour.store.eval_splice(p + 1, tour.store.n, repl)
 
 
+def best_insertion(instance, tour, item):
+    """``cheapest_insertion`` through the instance's price memo; None when
+    the item fits nowhere in the tour."""
+    def price():
+        try:
+            return cheapest_insertion(instance, tour, item)
+        except Infeasible:
+            return None
+
+    return instance.price(tour.price_key(item), price)
+
+
 def cheapest_insertion(instance, tour, item, prune=True):
     """Best insertion positions and exact cost delta, or raise Infeasible.
 
@@ -71,6 +81,16 @@ def cheapest_insertion(instance, tour, item, prune=True):
     windows to discard positions before composing anything; cost-based
     pruning is disabled while soft-window penalties are active (a detour
     can then reduce attached costs, so bounds would not be safe).
+
+    Always prices afresh.  The solver calls it through ``best_insertion``,
+    which memoises the plan on the instance for the rest of the solve
+    under ``Tour.price_key``: the item id plus the tour's content id,
+    interned from (vehicle, stops, brackets).  A pickup-delivery price
+    also reads mid-range store queries, whose bits depend on the block
+    layout ``insert_single`` leaves; it shares the content key only while
+    the store is laid out as a fresh build, and is keyed by the tour
+    revision otherwise.  Every hit is therefore bit for bit what this
+    function returns on the live tour.
     """
     stops = tour.stops
     m = len(stops)
@@ -123,7 +143,7 @@ def cheapest_insertion(instance, tour, item, prune=True):
                 continue
             delta = sched.total_cost - base_cost
             if best is None or delta < best.delta_cost - 1e-12:
-                best = InsertionPlan(None, p, delta, sched)
+                best = InsertionPlan(None, p, delta)
         if best is None:
             raise Infeasible(item.id)
         return best
@@ -165,7 +185,7 @@ def cheapest_insertion(instance, tour, item, prune=True):
                 continue
             delta = sched.total_cost - base_cost
             if best is None or delta < best.delta_cost - 1e-12:
-                best = InsertionPlan(p, q, delta, sched)
+                best = InsertionPlan(p, q, delta)
     if best is None:
         raise Infeasible(item.id)
     return best

@@ -5,8 +5,8 @@ from __future__ import annotations
 import time
 
 from ..plf import EmptyDomain
-from .construct import _InsertionCache, regret_construct
-from .insertion import apply_insertion
+from .construct import regret_construct
+from .insertion import apply_insertion, best_insertion
 from .model import schedule_tour
 
 L_MAX = 3
@@ -34,9 +34,17 @@ def _item_runs(tour, max_len=L_MAX):
     return runs
 
 
-def relocate_pass(instance, solution, cache=None, max_sweeps=None):
-    """Move single items to their cheapest other tour while it helps."""
-    cache = cache or _InsertionCache(instance)
+def relocate_pass(instance, solution, max_sweeps=None):
+    """Move single items to their cheapest other tour while it helps.
+
+    Insertion and removal prices go through the instance's price memo,
+    which lasts the whole solve: a sweep re-prices only the tours that
+    changed since the last one, and a tour rebuilt with stops priced
+    before (a rejected walk move restores them) hits the memo too.  Keys
+    name the tour's content, or its revision where a price depends on the
+    store layout (see ``Tour.price_key``), so a hit is bit for bit the
+    price of the live tour.
+    """
     any_gain = False
     sweeps = 0
     improved = True
@@ -58,7 +66,7 @@ def relocate_pass(instance, solution, cache=None, max_sweeps=None):
                 for other in solution.tours:
                     if other is tour or not other.stops:
                         continue
-                    plan = cache.best(other, item)
+                    plan = best_insertion(instance, other, item)
                     if plan is None:
                         continue
                     if best is None or plan.delta_cost < best[1].delta_cost - 1e-12:
@@ -79,13 +87,21 @@ def relocate_pass(instance, solution, cache=None, max_sweeps=None):
 
 def _removal_gain(instance, tour, item):
     """Cost delta and the stop list after dropping one item, priced through
-    the tour's store without building a new tour."""
-    idxs = [i for i, s in enumerate(tour.stops) if s.item_id == item.id]
-    if not idxs:
-        return None
+    the tour's store without building a new tour, and memoised on the
+    instance under ``Tour.price_key``."""
     new_stops = [s for s in tour.stops if s.item_id != item.id]
-    if not new_stops:
-        return -tour.cost, new_stops
+    if len(new_stops) == len(tour.stops):
+        return None
+    delta = instance.price(tour.price_key(item), lambda: _removal_delta(tour, item))
+    if delta is None:
+        return None
+    return delta, new_stops
+
+
+def _removal_delta(tour, item):
+    idxs = [i for i, s in enumerate(tour.stops) if s.item_id == item.id]
+    if len(idxs) == len(tour.stops):
+        return -tour.cost
     try:
         atf = eval_without_positions(tour, idxs)
         sched = schedule_tour(tour.vehicle, atf)
@@ -93,7 +109,7 @@ def _removal_gain(instance, tour, item):
         return None
     if sched is None:
         return None
-    return sched.total_cost - tour.schedule.total_cost, new_stops
+    return sched.total_cost - tour.schedule.total_cost
 
 
 def eval_without_positions(tour, idxs):
@@ -119,7 +135,6 @@ def random_walk(instance, solution, rng, budget, brackets=(), time_limit=None):
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     incumbent = solution.clone_state()
     incumbent_cost = solution.total_cost
-    cache = _InsertionCache(instance)
     for it in range(budget):
         if deadline is not None and time.monotonic() >= deadline:
             break
@@ -148,9 +163,9 @@ def random_walk(instance, solution, rng, budget, brackets=(), time_limit=None):
                 if any(s.item_id in ids for s in t.stops):
                     t.set_stops([s for s in t.stops if s.item_id not in ids])
             solution.drop_empty_tours()
-            regret_construct(instance, rng, brackets=brackets, cache=cache,
+            regret_construct(instance, rng, brackets=brackets,
                              solution=solution, items=removed)
-            relocate_pass(instance, solution, cache=cache, max_sweeps=1)
+            relocate_pass(instance, solution, max_sweeps=1)
             cost = solution.total_cost
         except EmptyDomain:
             cost = None

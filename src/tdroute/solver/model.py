@@ -8,6 +8,7 @@ the vehicle's start depot before departure) carry only a delivery stop.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from ..scheduler import CostModel, optimal_start, soft_window_penalty
 from ..touratf import SegmentStore
 
 FAR_FUTURE = 5e8  # effectively "no deadline", yet numerically tame
+_MISSING = object()
+_PRICE_IDS = itertools.count()  # content and tour-revision ids, never reused
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,9 @@ class Vehicle:
 class Instance:
     """Items, vehicles, and the address-pair ATF matrix.
 
-    Action ATFs requested through ``action`` are memoised on the instance;
-    ``solve`` empties the memo before it returns.
+    Action ATFs requested through ``action`` and move prices requested
+    through ``price`` are memoised on the instance; ``solve`` empties both
+    memos before it returns.
     """
 
     def __init__(self, name, matrix, items, vehicles, horizon=None, depot=0):
@@ -98,7 +102,10 @@ class Instance:
         self._hi = None
         self._friends = None
         self._actions = {}            # action memo: recipe arguments -> Atf
+        self._prices = {}             # price memo: Tour.price_key -> price
+        self._contents = {}           # (vehicle, stops, brackets) -> content id
         self.item_by_id = {it.id: it for it in self.items}
+        self.item_slot = {it.id: i for i, it in enumerate(self.items)}
 
     def arc(self, p, q):
         return self.matrix[p][q]
@@ -135,8 +142,29 @@ class Instance:
             act = self._actions[args] = build(self, *args)
         return act
 
-    def clear_action_memo(self):
+    def price(self, key, pricer):
+        """Memoised ``pricer()`` under a ``Tour.price_key``."""
+        prices = self._prices
+        value = prices.get(key, _MISSING)
+        if value is _MISSING:
+            value = prices[key] = pricer()
+        return value
+
+    def content_id(self, vehicle, stops, brackets):
+        """An id shared by every tour with this vehicle, stop list and
+        brackets.  Ids come from one process-wide counter and are never
+        handed out twice, so an id a tour still holds after
+        ``clear_memos`` cannot name other content."""
+        key = (vehicle, tuple(stops), brackets)
+        cid = self._contents.get(key)
+        if cid is None:
+            cid = self._contents[key] = next(_PRICE_IDS)
+        return cid
+
+    def clear_memos(self):
         self._actions.clear()
+        self._prices.clear()
+        self._contents.clear()
 
 
 def serve_atf(stop, brackets=()):
@@ -215,7 +243,6 @@ class Tour:
     def __init__(self, instance, vehicle, stops, brackets=()):
         Tour._uid += 1
         self.uid = Tour._uid
-        self.revision = 0
         self.instance = instance
         self.vehicle = vehicle
         self.stops = list(stops)
@@ -235,7 +262,13 @@ class Tour:
         self.store = store
         self.schedule = schedule
         self._refresh_aux()
-        self.revision += 1
+        self._new_revision()
+
+    def _new_revision(self):
+        """Forget the ids that named the previous stop list and store in
+        the price memo; ``price_key`` assigns new ones on first use."""
+        self._content_id = None
+        self._revision_id = None
 
     def _refresh_aux(self):
         """Earliest/latest service starts and running loads, for pruning."""
@@ -277,6 +310,31 @@ class Tour:
         self.loads = loads
         self.max_load = max(loads) if loads else 0.0
 
+    def price_key(self, item):
+        """The price memo key of inserting the item into this tour, or of
+        removing it when the tour serves it (one or the other, so a key
+        names one price).
+
+        Prices of depot-pickup items read the store's prefix and suffix
+        folds only, and those depend on the stop list alone: such a key
+        names the tour's content.  Pickup-delivery prices also read
+        mid-range queries, whose bits depend on the block layout; they share
+        the content key while the store is laid out as a fresh build would
+        be, and are keyed by this tour revision otherwise.
+        """
+        inst = self.instance
+        if item.depot_pickup or self.store.from_scratch:
+            if self._content_id is None:
+                self._content_id = inst.content_id(self.vehicle, self.stops, self.brackets)
+            tour_id = self._content_id
+        else:
+            if self._revision_id is None:
+                self._revision_id = next(_PRICE_IDS)
+            tour_id = self._revision_id
+        # one int per (tour id, item): a key tuple would take more memory
+        # than many of the prices it keys
+        return tour_id * len(inst.items) + inst.item_slot[item.id]
+
     @property
     def cost(self):
         return self.vehicle.fixed_cost + self.schedule.total_cost
@@ -303,20 +361,30 @@ class Tour:
             raise
 
     def insert_single(self, position, stop):
-        """Insert one stop; the store absorbs it with incremental updates."""
+        """Insert one stop; the store absorbs it with incremental updates.
+
+        All or nothing: on EmptyDomain the tour is rebuilt over its old
+        stops before the exception propagates.
+        """
         inst, veh = self.instance, self.vehicle
-        new_stops = self.stops[:position] + [stop] + self.stops[position:]
+        old = self.stops
+        new_stops = old[:position] + [stop] + old[position:]
         mod = inst.action(veh, new_stops, position - 1, self.brackets)
         new_act = inst.action(veh, new_stops, position, self.brackets)
         self.stops = new_stops
-        self.store.update_action(position + 1, mod)
-        self.store.insert_action(position + 2, new_act)
-        sched = schedule_tour(veh, self.store.full_atf())
-        if sched is None:
-            raise EmptyDomain("insertion broke the schedule")
+        try:
+            self.store.update_action(position + 1, mod)
+            self.store.insert_action(position + 2, new_act)
+            sched = schedule_tour(veh, self.store.full_atf())
+            if sched is None:
+                raise EmptyDomain("insertion broke the schedule")
+        except EmptyDomain:
+            self.stops = old
+            self._rebuild()
+            raise
         self.schedule = sched
         self._refresh_aux()
-        self.revision += 1
+        self._new_revision()
 
 
 class Solution:

@@ -201,6 +201,12 @@ class SegmentStore(_Level):
     def _build(self):
         n = self.n
         self._pending.clear()
+        # True while the block layout is the one SegmentStore(actions)
+        # builds.  Prefix and suffix folds depend on the actions alone;
+        # mid-range queries also depend on the layout, which insert_action
+        # changes until the next rebuild.  Updates recompute exactly, so
+        # they keep it.
+        self.from_scratch = True
         if self.k == 1 or n <= 3:
             self._single = _Bst(self._actions, self.counter)
             self._blocks = None
@@ -326,6 +332,7 @@ class SegmentStore(_Level):
             self._pre = [None] * (self.n + 1)
             self._suf = [None] * (self.n + 1)
             _refresh_ends(self._c, self._actions, self._pre, self._suf, 1, self.n)
+        self.from_scratch = False
         self._bump_struct()
 
     def _bump_struct(self):

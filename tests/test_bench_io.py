@@ -6,7 +6,8 @@ import pytest
 from tdroute.bench_io import (DEFAULT_PROFILES, ParseError, evaluate_under,
                               flatten, generate_td, make_benchmark_instance,
                               parse_instance_text, parse_lilim, parse_solomon,
-                              read_solution, serialize_instance, td_arc,
+                              read_solution, serialize_instance,
+                              serialize_solution, td_arc,
                               write_instance, write_solution)
 from tdroute.bench_io.cli import main as cli_main
 from tdroute.bench_io.tdgen import SpeedProfile
@@ -194,6 +195,18 @@ class TestSolutionFiles:
         again = read_solution(str(path), base)
         assert again.total_cost == pytest.approx(sol.total_cost, abs=1e-9)
         assert validate(again, base).feasible
+
+    def test_error_names_the_line_counting_blank_lines(self, tmp_path):
+        base = make_benchmark_instance(4, seed=1)
+        lines = serialize_solution(solve(base, SolverConfig(seed=1, iterations=0))).splitlines()
+        t_line = next(i for i, ln in enumerate(lines) if ln.startswith("t "))
+        lines[t_line] = "t 99 " + lines[t_line].split(" ", 2)[2]
+        lines[t_line:t_line] = ["", "   "]  # the tour line moves down by two
+        path = tmp_path / "blank.sol"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="unknown vehicle 99") as err:
+            read_solution(str(path), base)
+        assert err.value.line_no == t_line + 3
 
 
 @pytest.fixture(scope="module")

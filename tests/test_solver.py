@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tdroute.solver import (Infeasible, Instance, Item, SolverConfig, Solution,
                             validate)
 from tdroute.scheduler import CostModel
 from tdroute.solver import engine
+from tdroute.solver.insertion import best_insertion
 from tdroute.solver.model import build_action
 
 RNG = np.random.default_rng(1337)
@@ -165,6 +167,40 @@ class TestCheapestInsertion:
             assert measured == pytest.approx(plan.delta_cost, abs=1e-6)
 
 
+class TestInsertSingle:
+    def test_failed_insert_leaves_a_fresh_tour(self):
+        """Random single-stop inserts into a long tour: after each one that
+        raises EmptyDomain the tour equals a fresh Tour over its old stops,
+        down to every range the store can answer."""
+        inst = grid_instance(24, seed=70, n_vehicles=2, capacity=1000.0)
+        sol = regret_construct(inst, random.Random(0))
+        base = max(sol.tours, key=lambda t: len(t.stops))
+        outside = [it.stops()[0] for it in inst.items if it.id not in base.item_ids]
+        rng = random.Random(71)
+        failures = 0
+        for _ in range(60):
+            tour = Tour(inst, base.vehicle, base.stops)
+            for _ in range(3):
+                before = list(tour.stops)
+                try:
+                    tour.insert_single(rng.randrange(len(tour.stops) + 1),
+                                       rng.choice(outside))
+                except EmptyDomain:
+                    failures += 1
+                    assert tour.stops == before
+                    fresh = Tour(inst, tour.vehicle, before)
+                    assert tour.schedule.total_cost == fresh.schedule.total_cost
+                    assert tour.schedule.t0 == fresh.schedule.t0
+                    assert (tour.eat, tour.lst, tour.loads, tour.max_load) == (
+                        fresh.eat, fresh.lst, fresh.loads, fresh.max_load)
+                    n = fresh.store.n
+                    assert tour.store.n == n
+                    for i in range(n):
+                        for j in range(i + 1, n + 1):
+                            assert _same_atf(tour.store.query(i, j), fresh.store.query(i, j))
+        assert failures >= 10
+
+
 class TestSeedsAndFriends:
     def test_no_friends_selects_all(self):
         inst = grid_instance(3, seed=7, n_vehicles=3)
@@ -237,7 +273,7 @@ class TestRegretConstruct:
             apply_insertion(t, s, cheapest_insertion(inst, t, s))
             sol.tours.append(t)
         pool = [it for it in inst.items if it.id not in {s.id for s in seeds}]
-        from tdroute.solver.construct import (NO_VEHICLE_COST, _InsertionCache,
+        from tdroute.solver.construct import (NO_VEHICLE_COST,
                                               new_tour_cost,
                                               select_next_by_regret)
         # exhaustive enumeration of every item's regret
@@ -266,7 +302,7 @@ class TestRegretConstruct:
             key = (-regret, min(feasible_costs), item.id)
             if best_key is None or key < best_key:
                 best_key = key
-        picked, _, _ = select_next_by_regret(inst, sol, pool, _InsertionCache(inst))
+        picked, _, _ = select_next_by_regret(inst, sol, pool)
         assert picked.id == best_key[2]
 
 
@@ -393,6 +429,7 @@ class TestActionMemo:
         inst = grid_instance(12, seed=64)
         solve(inst, SolverConfig(seed=2, iterations=3))
         assert inst._actions == {}
+        assert inst._prices == {} and inst._contents == {}
 
     def test_solve_empties_memo_when_it_raises(self, monkeypatch):
         inst = grid_instance(12, seed=64)
@@ -404,3 +441,104 @@ class TestActionMemo:
         with pytest.raises(RuntimeError):
             solve(inst, SolverConfig(seed=2, iterations=3))
         assert inst._actions == {}
+        assert inst._prices == {} and inst._contents == {}
+
+
+SOFT = ((15, 1.0), (10, 2.0), (5, 4.0))
+
+
+def _mixed_td_instance(n_customers, seed):
+    """A time-dependent city instance whose even items are picked up at
+    the previous customer instead of the depot."""
+    base = generate_td(make_benchmark_instance(n_customers, seed=seed),
+                       rng=np.random.default_rng(seed))
+    items = [it if it.id % 2 else
+             dataclasses.replace(it, depot_pickup=False, pickup_address=it.id - 1,
+                                 pickup_duration=60.0)
+             for it in base.items]
+    return Instance(base.name + "_mixed", base.matrix, items, base.vehicles,
+                    horizon=base.horizon, depot=base.depot)
+
+
+def _same_price(a, b):
+    """Equal positions and bit-for-bit equal deltas (None: infeasible)."""
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, tuple):
+        return a[:2] == b[:2] and _same_price(a[2], b[2])
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _audit_memo(monkeypatch):
+    """Run the memo's users with every hit re-priced on the live tour.
+
+    First regret construction, relocation and a walk, without and then
+    with brackets, on instances whose memo is never emptied in between.
+    Then a tour grown by insert_single next to a fresh build of its stops,
+    with every pickup-delivery item priced on both: the grown store's
+    block layout gives this instance's item 20 a delta a few ulps away
+    from the fresh store's.  Returns the hits of depot-pickup and of
+    pickup-delivery items, and the keys whose hit was wrong.
+    """
+    real = Instance.price
+    hits = {True: 0, False: 0}
+    wrong = []
+
+    def audited(self, key, pricer):
+        if key in self._prices:
+            hits[self.items[key % len(self.items)].depot_pickup] += 1
+            if not _same_price(self._prices[key], pricer()):
+                wrong.append(key)
+        return real(self, key, pricer)
+
+    monkeypatch.setattr(Instance, "price", audited)
+    for seed in (3, 4):
+        inst = _mixed_td_instance(12, seed)
+        for brackets in ((), SOFT):
+            rng = random.Random(seed)
+            sol = regret_construct(inst, rng, brackets=brackets,
+                                   improve_hook=lambda s: relocate_pass(inst, s))
+            relocate_pass(inst, sol)
+            random_walk(inst, sol, rng, 12, brackets)
+
+    inst = _mixed_td_instance(20, 50)
+    grown = Tour(inst, inst.vehicles[0], [])
+    for item in inst.items:
+        if item.depot_pickup:
+            plan = best_insertion(inst, grown, item)
+            if plan is not None:
+                apply_insertion(grown, item, plan)
+    assert not grown.store.from_scratch
+    fresh = Tour(inst, grown.vehicle, grown.stops)
+    for tour in (grown, fresh):
+        for item in inst.items:
+            if not item.depot_pickup:
+                best_insertion(inst, tour, item)
+    return hits, wrong
+
+
+class TestPriceMemo:
+    """Memoised insertion and removal prices equal uncached ones."""
+
+    def test_every_hit_equals_a_fresh_price(self, monkeypatch):
+        hits, wrong = _audit_memo(monkeypatch)
+        assert hits[True] > 0 and hits[False] > 0
+        assert wrong == []
+
+    @pytest.mark.parametrize("mutant", ["brackets", "provenance"])
+    def test_audit_catches_an_unsound_key(self, monkeypatch, mutant):
+        if mutant == "brackets":
+            # content ids interned without the brackets
+            real = Instance.content_id
+            monkeypatch.setattr(Instance, "content_id",
+                                lambda self, vehicle, stops, _: real(self, vehicle, stops, ()))
+        else:
+            # pickup-delivery prices keyed by content whatever the layout
+            def key(tour, item):
+                inst = tour.instance
+                cid = inst.content_id(tour.vehicle, tour.stops, tour.brackets)
+                return cid * len(inst.items) + inst.item_slot[item.id]
+
+            monkeypatch.setattr(Tour, "price_key", key)
+        _, wrong = _audit_memo(monkeypatch)
+        assert wrong
