@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from ..plf import Atf, StepCost, default_epsilon, polish, simplify
+from ..plf import Atf, StepCost, polish, simplify
 from ..solver import Instance, Item, Vehicle
 
 HOUR = 3600.0
@@ -50,48 +51,39 @@ DEFAULT_PROFILES = (
 )
 
 
-def td_arc(free_flow, profile, horizon, cost=None, eps=None):
+def td_arc(free_flow, profile, horizon, cost=None, eps=0.0):
     """Exact TD arrival function for an arc with the given free-flow time.
 
     Distance is measured in free-flow seconds; the cumulative covered
     distance Z(t) integrates the speed multiplier, and departures arrive at
     Zinv(Z(t) + free_flow).  FIFO holds because Z strictly increases.
+
+    The arc is exact unless eps > 0.  Then it is simplified (monotone
+    Imai-Iri plus polish) to a function within [f, f + eps], which is
+    returned only when it has fewer breakpoints than the exact f.
     """
     lo = horizon[0] - 2 * HOUR
     hi = horizon[1] + 12 * HOUR
     if free_flow <= 1e-12:
         return Atf.constant_travel(0.0, lo, hi, cost=cost)
-    knots = [lo]
-    h0 = profile.start_hour * HOUR
-    for i in range(len(profile.multipliers) + 1):
-        t = h0 + i * HOUR
-        if lo < t < hi:
-            knots.append(t)
-    knots.append(hi)
-    zs = [0.0]
-    for i in range(1, len(knots)):
-        mid = 0.5 * (knots[i - 1] + knots[i])
-        zs.append(zs[-1] + profile.slope_at(mid) * (knots[i] - knots[i - 1]))
-
-    def z_of(t):
-        i = max(0, min(bisect_right(knots, t) - 1, len(knots) - 2))
-        mid = 0.5 * (knots[i] + knots[i + 1])
-        return zs[i] + profile.slope_at(mid) * (t - knots[i])
+    knots, zs, slopes = _clock(profile, lo, hi)
+    last = len(knots) - 2
 
     def t_of(z):
-        i = max(0, min(bisect_right(zs, z) - 1, len(zs) - 2))
-        mid = 0.5 * (knots[i] + knots[i + 1])
-        return knots[i] + (z - zs[i]) / profile.slope_at(mid)
+        i = max(0, min(bisect_right(zs, z) - 1, last))
+        return knots[i] + (z - zs[i]) / slopes[i]
 
     cands = set(knots)
     for zk in zs:
         t = t_of(zk - free_flow)
         if lo < t < hi:
             cands.add(t)
-    pts = [(t, t_of(z_of(t) + free_flow)) for t in sorted(cands)]
-    atf = Atf(pts, cost=cost)
-    if eps is None:
-        eps = default_epsilon(atf)
+    ts = sorted(cands)
+    vs = []
+    for t in ts:
+        i = max(0, min(bisect_right(knots, t) - 1, last))
+        vs.append(t_of(zs[i] + slopes[i] * (t - knots[i]) + free_flow))
+    atf = Atf(zip(ts, vs), cost=cost)
     if eps <= 0:
         return atf
     g = polish(simplify(atf, eps), atf, eps)
@@ -99,12 +91,34 @@ def td_arc(free_flow, profile, horizon, cost=None, eps=None):
     return g.with_cost(atf.cost) if g.b < atf.b else atf
 
 
+@lru_cache(maxsize=64)
+def _clock(profile, lo, hi):
+    """The profile's clock over [lo, hi], shared by all its arcs: the knots
+    (lo, every hour boundary strictly inside, hi), the covered distance
+    Z at each knot, and the speed multiplier of each segment between
+    knots."""
+    knots = [lo]
+    h0 = profile.start_hour * HOUR
+    for i in range(len(profile.multipliers) + 1):
+        t = h0 + i * HOUR
+        if lo < t < hi:
+            knots.append(t)
+    knots.append(hi)
+    slopes = [profile.slope_at(0.5 * (knots[i] + knots[i + 1]))
+              for i in range(len(knots) - 1)]
+    zs = [0.0]
+    for i, s in enumerate(slopes):
+        zs.append(zs[-1] + s * (knots[i + 1] - knots[i]))
+    return tuple(knots), tuple(zs), tuple(slopes)
+
+
 def generate_td(base, profiles=DEFAULT_PROFILES, rng=None,
                 regenerate_windows=False):
     """Replace a constant-ATF instance's arcs by time-dependent ones.
 
-    Every arc draws one profile (seeded rng keeps this reproducible); arc
-    costs carry over unchanged.  With regenerate_windows, delivery windows
+    Every arc draws one profile (seeded rng keeps this reproducible) and
+    is built exactly by ``td_arc``, with no simplification; arc costs carry
+    over unchanged.  With regenerate_windows, delivery windows
     are redrawn: with probability one half a one-hour window starting at a
     full or half hour, otherwise the wide default window.
     """

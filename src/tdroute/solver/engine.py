@@ -25,6 +25,11 @@ def solve(instance, config=None):
     relocation pass, a random walk of ``iterations`` moves, then a second
     walk of half that budget with its own rng.  The result is
     deterministic for a fixed seed.
+
+    With ``time_limit``, relocations stop between items and walks between
+    moves once it is spent.  Construction always runs to the end, since it
+    must place or unserve every item, so a solve overruns the limit by up
+    to its construction time.
     """
     config = config or SolverConfig()
     try:
@@ -34,20 +39,21 @@ def solve(instance, config=None):
 
 
 def _solve(instance, config):
-    t_start = time.monotonic()
     budget = config.iterations
     brackets = tuple(config.soft_brackets)
+    deadline = (None if config.time_limit is None
+                else time.monotonic() + config.time_limit)
 
     def remaining():
-        if config.time_limit is None:
+        if deadline is None:
             return None
-        return max(0.0, config.time_limit - (time.monotonic() - t_start))
+        return max(0.0, deadline - time.monotonic())
 
     rng = random.Random(10007 * config.seed + 13)
     sol = regret_construct(
         instance, rng, brackets=brackets,
-        improve_hook=lambda s: relocate_pass(instance, s))
-    relocate_pass(instance, sol)
+        improve_hook=lambda s: relocate_pass(instance, s, deadline=deadline))
+    relocate_pass(instance, sol, deadline=deadline)
     if budget > 0:
         sol = random_walk(instance, sol, rng, budget, brackets,
                           time_limit=remaining())

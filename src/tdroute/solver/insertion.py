@@ -3,8 +3,11 @@
 Candidate positions are screened with travel-time lower bounds and the
 tour's earliest/latest service-start arrays before any ATF is composed;
 survivors are priced exactly through the tour's segment store plus a
-rescheduling.  The screening never discards a feasible position, so the
-pruned scan returns the same best move as an exhaustive one.
+rescheduling.  The window screen never discards a feasible position.
+The cost screen (``prune``) is not a lower bound: its time term assumes
+that a detour lengthens the tour, but waiting at a later window can
+absorb the detour, so the pruned scan can return a dearer move than the
+exhaustive one.
 """
 
 from __future__ import annotations

@@ -34,8 +34,9 @@ def _item_runs(tour, max_len=L_MAX):
     return runs
 
 
-def relocate_pass(instance, solution, max_sweeps=None):
-    """Move single items to their cheapest other tour while it helps.
+def relocate_pass(instance, solution, max_sweeps=None, deadline=None):
+    """Move single items to their cheapest other tour while it helps, or
+    until ``time.monotonic()`` reaches the deadline, checked between items.
 
     Insertion and removal prices go through the instance's price memo,
     which lasts the whole solve: a sweep re-prices only the tours that
@@ -55,6 +56,9 @@ def relocate_pass(instance, solution, max_sweeps=None):
             if not tour.stops:
                 continue
             for item_id in list(tour.item_ids):
+                if deadline is not None and time.monotonic() >= deadline:
+                    solution.drop_empty_tours()
+                    return any_gain
                 if not any(s.item_id == item_id for s in tour.stops):
                     continue
                 item = instance.item_by_id[item_id]
@@ -165,7 +169,7 @@ def random_walk(instance, solution, rng, budget, brackets=(), time_limit=None):
             solution.drop_empty_tours()
             regret_construct(instance, rng, brackets=brackets,
                              solution=solution, items=removed)
-            relocate_pass(instance, solution, max_sweeps=1)
+            relocate_pass(instance, solution, max_sweeps=1, deadline=deadline)
             cost = solution.total_cost
         except EmptyDomain:
             cost = None

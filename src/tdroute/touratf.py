@@ -9,13 +9,18 @@ insertions and splices can be priced without mutating anything.
 Action boundaries run 0..n; a_{i,j} composes actions i+1..j.  Every
 compose performed on behalf of the store goes through one instrumented
 counter, which the budget tests read.
+
+Mutations are all or nothing: new compositions are computed into fresh
+containers and swapped in only once every one has succeeded, so an
+``EmptyDomain`` leaves the store reading exactly as before the edit.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
-from .plf import compose
+from .plf import EmptyDomain, compose
 
 
 class _Counter:
@@ -116,27 +121,35 @@ class _Bst(_Level):
             return self.left[h][i]
         return self._c(self.left[h][i], self.right[h][j])
 
-    def update_many(self, pairs):
-        """Replace several actions at once, then recompute exactly the
-        stored compositions whose range covers a replaced position.
+    def updated(self, pairs):
+        """A copy with several actions replaced, in which exactly the
+        stored compositions whose range covers a replaced position are
+        recomputed; self is left as it was, and the copy shares its
+        untouched chains.
 
         All replacements land before any chain is rebuilt, so stored
         compositions never mix old and new ATFs (a transient mix can be
         spuriously infeasible).
         """
-        if not pairs:
-            return
+        new = copy.copy(self)
+        new.atfs = list(self.atfs)
         for pos, atf in pairs:
-            self.atfs[pos - 1] = atf
+            new.atfs[pos - 1] = atf
+        new.left, new.right = dict(self.left), dict(self.right)
+        new.pre, new.suf = list(self.pre), list(self.suf)
         positions = sorted({pos for pos, _ in pairs})
         # left chains recompute downward from bases at larger indices, so
         # refresh the rightmost changed position first; right chains dually
         for pos in reversed(positions):
-            self._refresh_left(pos)
+            new._refresh_left(pos)
         for pos in positions:
-            self._refresh_right(pos)
-        _refresh_ends(self._c, self.atfs, self.pre, self.suf,
+            new._refresh_right(pos)
+        _refresh_ends(new._c, new.atfs, new.pre, new.suf,
                       positions[0], positions[-1])
+        return new
+
+    # The two refreshes copy each chain they touch before writing to it, as
+    # the chains may be shared with the store this one was copied from.
 
     def _refresh_left(self, pos):
         lo, hi = 0, self.L
@@ -144,7 +157,7 @@ class _Bst(_Level):
             h = (lo + hi) // 2
             if pos <= h:
                 # pairs (i, h) with i < pos cover action pos
-                lchain = self.left[h]
+                lchain = self.left[h] = dict(self.left[h])
                 for i in range(pos - 1, lo - 1, -1):
                     base = lchain[i + 1] if i + 1 < h else None
                     lchain[i] = self._c(self.atfs[i], base)
@@ -160,7 +173,7 @@ class _Bst(_Level):
             h = (lo + hi) // 2
             if pos > h:
                 # pairs (h, j) with j >= pos cover action pos
-                rchain = self.right[h]
+                rchain = self.right[h] = dict(self.right[h])
                 for j in range(max(pos, h + 1), hi + 1):
                     base = rchain[j - 1] if j - 1 > h else None
                     rchain[j] = self._c(base, self.atfs[j - 1])
@@ -185,7 +198,7 @@ class SegmentStore(_Level):
         if not self._actions:
             raise ValueError("a store needs at least one action")
         self._struct_ops = 0
-        self._pending = []
+        self._pending = {}  # action index -> its action before the first pending update
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -199,7 +212,26 @@ class SegmentStore(_Level):
         return self.counter.n
 
     def _build(self):
-        n = self.n
+        self._set_layout(self._layout(self._actions))
+
+    def _layout(self, actions):
+        """A fresh (single, blocks, top, pre, suf) over the actions,
+        assigned to nothing."""
+        n = len(actions)
+        if self.k == 1 or n <= 3:
+            single = _Bst(actions, self.counter)
+            return single, None, None, single.pre, single.suf
+        p = max(2, math.ceil(n ** (1.0 / self.k)))
+        blocks = [[s, _Bst(actions[s:s + p], self.counter)] for s in range(0, n, p)]
+        top = SegmentStore([b.full() for _, b in blocks], k=self.k - 1,
+                           _counter=self.counter)
+        pre = [None] * (n + 1)
+        suf = [None] * (n + 1)
+        _refresh_ends(self._c, actions, pre, suf, 1, n)
+        return None, blocks, top, pre, suf
+
+    def _set_layout(self, layout):
+        self._single, self._blocks, self._top, self._pre, self._suf = layout
         self._pending.clear()
         # True while the block layout is the one SegmentStore(actions)
         # builds.  Prefix and suffix folds depend on the actions alone;
@@ -207,46 +239,42 @@ class SegmentStore(_Level):
         # changes until the next rebuild.  Updates recompute exactly, so
         # they keep it.
         self.from_scratch = True
-        if self.k == 1 or n <= 3:
-            self._single = _Bst(self._actions, self.counter)
-            self._blocks = None
-            self._top = None
-            self._pre = self._single.pre
-            self._suf = self._single.suf
-            return
-        self._single = None
-        p = max(2, math.ceil(n ** (1.0 / self.k)))
-        starts = list(range(0, n, p))
-        self._blocks = []
-        for s in starts:
-            chunk = self._actions[s:s + p]
-            self._blocks.append([s, _Bst(chunk, self.counter)])
-        composites = [b.full() for _, b in self._blocks]
-        self._top = SegmentStore(composites, k=self.k - 1, _counter=self.counter)
-        self._pre = [None] * (n + 1)
-        self._suf = [None] * (n + 1)
-        _refresh_ends(self._c, self._actions, self._pre, self._suf, 1, n)
 
     def flush(self):
-        """Apply pending lazy updates now."""
+        """Apply pending lazy updates now.  If a composition fails, the
+        updated actions get their old ATFs back and the store reads as
+        before the updates; the ``EmptyDomain`` propagates."""
         if not self._pending:
             return
-        pending, self._pending = self._pending, []
+        pending, self._pending = self._pending, {}
+        try:
+            if self._single is not None:
+                single = self._single.updated(
+                    [(idx, self._actions[idx - 1]) for idx in pending])
+                pre, suf = single.pre, single.suf
+            else:
+                by_block = {}
+                for idx in pending:
+                    by_block.setdefault(self._block_of(idx), []).append(idx)
+                fresh = []
+                for bi, idxs in sorted(by_block.items()):
+                    start, bst = self._blocks[bi]
+                    fresh.append((bi, bst.updated(
+                        [(idx - start, self._actions[idx - 1]) for idx in idxs])))
+                pre, suf = list(self._pre), list(self._suf)
+                _refresh_ends(self._c, self._actions, pre, suf,
+                              min(pending), max(pending))
+        except EmptyDomain:
+            for idx, old in pending.items():
+                self._actions[idx - 1] = old
+            raise
         if self._single is not None:
-            self._single.update_many(
-                [(idx, self._actions[idx - 1]) for idx in set(pending)])
-            self._pre = self._single.pre
-            self._suf = self._single.suf
-            return
-        by_block = {}
-        for idx in set(pending):
-            by_block.setdefault(self._block_of(idx), []).append(idx)
-        for bi, idxs in sorted(by_block.items()):
-            start, bst = self._blocks[bi]
-            bst.update_many([(idx - start, self._actions[idx - 1]) for idx in idxs])
-            self._top.update_action(bi + 1, bst.full())
-        _refresh_ends(self._c, self._actions, self._pre, self._suf,
-                      min(pending), max(pending))
+            self._single = single
+        else:
+            for bi, bst in fresh:
+                self._blocks[bi][1] = bst
+                self._top.update_action(bi + 1, bst.full())
+        self._pre, self._suf = pre, suf
 
     def _block_of(self, action_idx):
         """Block index holding 1-based action action_idx."""
@@ -304,43 +332,48 @@ class SegmentStore(_Level):
     # -- mutation ----------------------------------------------------------
 
     def update_action(self, idx, new):
-        """Replace action idx (1-based); recomputation is deferred."""
+        """Replace action idx (1-based); recomputation is deferred to the
+        next flush, which undoes the update if it fails."""
         if not (1 <= idx <= self.n):
             raise IndexOutOfRange(str(idx))
+        self._pending.setdefault(idx, self._actions[idx - 1])
         self._actions[idx - 1] = new
-        self._pending.append(idx)
 
     def insert_action(self, pos, new):
-        """Insert a new action so it becomes action number pos (1-based)."""
+        """Insert a new action so it becomes action number pos (1-based).
+        Every ``ceil(log2(n + 1))`` insertions the store is rebuilt from
+        scratch.  On ``EmptyDomain`` nothing is inserted."""
         if not (1 <= pos <= self.n + 1):
             raise IndexOutOfRange(str(pos))
         self.flush()
+        actions = self._actions[:pos - 1] + [new] + self._actions[pos - 1:]
+        n = len(actions)
         if self._single is not None:
-            self._actions.insert(pos - 1, new)
-            self._single = _Bst(self._actions, self.counter)
-            self._pre = self._single.pre
-            self._suf = self._single.suf
+            single = _Bst(actions, self.counter)
         else:
             bi = self._block_of(pos) if pos <= self.n else len(self._blocks) - 1
-            self._actions.insert(pos - 1, new)
             start, old_bst = self._blocks[bi]
-            local = self._actions[start:start + old_bst.L + 1]
-            self._blocks[bi][1] = _Bst(local, self.counter)
+            bst = _Bst(actions[start:start + old_bst.L + 1], self.counter)
+            pre = [None] * (n + 1)
+            suf = [None] * (n + 1)
+            _refresh_ends(self._c, actions, pre, suf, 1, n)
+        if self._struct_ops + 1 >= max(1, math.ceil(math.log2(n + 1))):
+            layout = self._layout(actions)
+            self._actions = actions
+            self._struct_ops = 0
+            self._set_layout(layout)
+            return
+        self._actions = actions
+        self._struct_ops += 1
+        if self._single is not None:
+            self._single, self._pre, self._suf = single, single.pre, single.suf
+        else:
+            self._blocks[bi][1] = bst
             for later in self._blocks[bi + 1:]:
                 later[0] += 1
-            self._top.update_action(bi + 1, self._blocks[bi][1].full())
-            self._pre = [None] * (self.n + 1)
-            self._suf = [None] * (self.n + 1)
-            _refresh_ends(self._c, self._actions, self._pre, self._suf, 1, self.n)
+            self._top.update_action(bi + 1, bst.full())
+            self._pre, self._suf = pre, suf
         self.from_scratch = False
-        self._bump_struct()
-
-    def _bump_struct(self):
-        self._struct_ops += 1
-        if self._struct_ops >= max(1, math.ceil(math.log2(self.n + 1))):
-            self._struct_ops = 0
-            self.flush()
-            self._build()
 
     # -- hypothetical evaluations -------------------------------------------
 

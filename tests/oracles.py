@@ -5,6 +5,8 @@ use only eval/np.interp, the corridor oracle enumerates grid polylines,
 and the scheduling oracle brute-forces a dense grid.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 
 from tdroute.plf import Atf, StepCost, compose
@@ -177,3 +179,42 @@ def normalize_points_reference(pts):
     if len(merged) > 1:
         out.append(merged[-1])
     return out
+
+
+def td_arc_reference(free_flow, profile, horizon, cost=None):
+    """The per-arc exact builder ``td_arc`` used to run at eps=0: knots,
+    covered distances and speed lookups recomputed for every arc.  Kept as
+    the reference for the one that shares a clock per profile."""
+    hour = 3600.0
+    lo = horizon[0] - 2 * hour
+    hi = horizon[1] + 12 * hour
+    if free_flow <= 1e-12:
+        return Atf.constant_travel(0.0, lo, hi, cost=cost)
+    knots = [lo]
+    h0 = profile.start_hour * hour
+    for i in range(len(profile.multipliers) + 1):
+        t = h0 + i * hour
+        if lo < t < hi:
+            knots.append(t)
+    knots.append(hi)
+    zs = [0.0]
+    for i in range(1, len(knots)):
+        mid = 0.5 * (knots[i - 1] + knots[i])
+        zs.append(zs[-1] + profile.slope_at(mid) * (knots[i] - knots[i - 1]))
+
+    def z_of(t):
+        i = max(0, min(bisect_right(knots, t) - 1, len(knots) - 2))
+        mid = 0.5 * (knots[i] + knots[i + 1])
+        return zs[i] + profile.slope_at(mid) * (t - knots[i])
+
+    def t_of(z):
+        i = max(0, min(bisect_right(zs, z) - 1, len(zs) - 2))
+        mid = 0.5 * (knots[i] + knots[i + 1])
+        return knots[i] + (z - zs[i]) / profile.slope_at(mid)
+
+    cands = set(knots)
+    for zk in zs:
+        t = t_of(zk - free_flow)
+        if lo < t < hi:
+            cands.add(t)
+    return Atf([(t, t_of(z_of(t) + free_flow)) for t in sorted(cands)], cost=cost)

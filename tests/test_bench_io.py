@@ -11,7 +11,9 @@ from tdroute.bench_io import (DEFAULT_PROFILES, ParseError, evaluate_under,
                               write_instance, write_solution)
 from tdroute.bench_io.cli import main as cli_main
 from tdroute.bench_io.tdgen import SpeedProfile
+from tdroute.plf import StepCost, default_epsilon
 from tdroute.solver import SolverConfig, solve, validate
+from oracles import td_arc_reference
 
 RNG = np.random.default_rng(7)
 
@@ -132,6 +134,55 @@ class TestTdArc:
     def test_rejects_bad_profile(self):
         with pytest.raises(ValueError):
             SpeedProfile("bad", 15, (1.0, 0.0))
+
+    def test_exact_arcs_equal_reference_bit_for_bit(self):
+        """The shared per-profile clock changes no float: every profile,
+        two horizons taken in turn, free-flow times at and below 1e-12 and
+        ones longer than the whole knot span."""
+        rng = np.random.default_rng(909)
+        horizons = ((15 * 3600.0, 21 * 3600.0), (0.0, 492.0))
+        frees = [0.0, 1e-12, 5e-13, 1e5, 4e5]
+        frees += [float(x) for x in rng.uniform(1e-9, 30.0, 20)]
+        frees += [float(x) for x in rng.uniform(30.0, 4000.0, 40)]
+        for free in frees:
+            for horizon in horizons:
+                for prof in DEFAULT_PROFILES:
+                    cost = StepCost(round(free / 60.0, 3)) if rng.random() < 0.5 else None
+                    got = td_arc(free, prof, horizon, cost=cost, eps=0)
+                    want = td_arc_reference(free, prof, horizon, cost=cost)
+                    assert (got.ts, got.vs) == (want.ts, want.vs), (free, horizon, prof.name)
+                    assert got.cost is want.cost
+
+    def test_generate_td_builds_exact_arcs(self):
+        base = make_benchmark_instance(12, seed=3)
+        td = generate_td(base, rng=np.random.default_rng(3))
+        draws = np.random.default_rng(3)
+        for p in range(base.n_addresses):
+            for q in range(base.n_addresses):
+                arc = base.matrix[p][q]
+                prof = DEFAULT_PROFILES[int(draws.integers(0, len(DEFAULT_PROFILES)))]
+                want = td_arc(arc.travel_bounds().lo, prof, base.horizon,
+                              cost=arc.cost, eps=0)
+                got = td.matrix[p][q]
+                assert (got.ts, got.vs, got.cost) == (want.ts, want.vs, want.cost)
+
+    def test_positive_eps_stays_within_band(self):
+        rng = np.random.default_rng(31)
+        horizon = (15 * 3600.0, 21 * 3600.0)
+        shed = 0
+        for free in rng.uniform(60.0, 3000.0, 12):
+            prof = DEFAULT_PROFILES[int(rng.integers(1, len(DEFAULT_PROFILES)))]
+            f = td_arc(float(free), prof, horizon, eps=0)
+            for eps in (default_epsilon(f), 20.0):
+                g = td_arc(float(free), prof, horizon, eps=eps)
+                assert g.b <= f.b
+                assert g.t_max == f.t_max
+                xs = np.linspace(f.t_min - 1.0, f.t_max, 2000)
+                gv, fv = g.eval_many(xs), f.eval_many(xs)
+                assert np.all(gv >= fv - 1e-8)
+                assert np.all(gv <= fv + eps + 1e-8)
+                shed += g.b < f.b
+        assert shed > 0
 
 
 class TestGenerateFlatten:

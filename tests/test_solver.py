@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from tdroute.bench_io import generate_td, make_benchmark_instance
+from tdroute.bench_io import generate_td, make_benchmark_instance, serialize_solution
 from tdroute.plf import Atf, EmptyDomain, StepCost
 from tdroute.solver import (Infeasible, Instance, Item, SolverConfig, Solution,
                             Tour, Vehicle, apply_insertion, cheapest_insertion,
@@ -343,6 +343,16 @@ class TestSolve:
             improve_hook=lambda s: relocate_pass(inst, s))
         relocate_pass(inst, ref)
         assert sol.total_cost == pytest.approx(ref.total_cost, abs=1e-9)
+
+    def test_zero_time_limit_is_construction_alone(self):
+        """Relocations obey the deadline: with no time at all, solve()
+        returns regret construction without its relocations."""
+        inst = grid_instance(30, seed=64)
+        sol = solve(inst, SolverConfig(seed=3, iterations=10, time_limit=0.0))
+        ref = regret_construct(inst, random.Random(10007 * 3 + 13))
+        ref.drop_empty_tours()
+        assert serialize_solution(sol) == serialize_solution(ref)
+        assert validate(sol, inst).feasible
 
     def test_solve_not_worse_than_construction(self):
         inst = grid_instance(20, seed=61)

@@ -1,5 +1,7 @@
 """SegmentStore: query/update correctness, compose budgets, evaluations."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,45 @@ class TestUpdates:
                     assert same_function(st.query(i, n), fold_compose(cur[i:]), tol=1e-6)
                 total += st.compose_count
         assert total == MIXED_EDITS_COMPOSES
+
+    def test_failed_edits_leave_the_committed_store(self):
+        """Seeded infeasible edits at k = 1..3 (one to three lazy updates
+        then a flush, or an insertion) raise EmptyDomain; after each, every
+        range reads as a fresh store over the actions committed so far."""
+        rng = np.random.default_rng(2718)
+        failures = 0
+        for k in (1, 2, 3):
+            for _ in range(3):
+                cur = rand_chain(rng, int(rng.integers(4, 20)))
+                st = SegmentStore(cur, k=k)
+                for _ in range(30):
+                    n = len(cur)
+                    if rng.random() < 0.5:
+                        cand = list(cur)
+                        for _ in range(int(rng.integers(1, 4))):
+                            idx = int(rng.integers(1, n + 1))
+                            cand[idx - 1] = rand_chain_action(rng, frac=float(rng.random()))
+                            st.update_action(idx, cand[idx - 1])
+                        edit = st.flush
+                    else:
+                        pos = int(rng.integers(1, n + 2))
+                        na = rand_chain_action(rng, frac=float(rng.random()))
+                        cand = cur[:pos - 1] + [na] + cur[pos - 1:]
+                        edit = partial(st.insert_action, pos, na)
+                    if _feasible(cand):
+                        edit()
+                        cur = cand
+                        continue
+                    with pytest.raises(EmptyDomain):
+                        edit()
+                    failures += 1
+                    assert st.n == n
+                    fresh = SegmentStore(cur, k=k)
+                    for i in range(n):
+                        for j in range(i + 1, n + 1):
+                            assert same_function(st.query(i, j), fresh.query(i, j),
+                                                 tol=1e-6), (k, i, j)
+        assert failures >= 30
 
 
 class TestEvaluations:
