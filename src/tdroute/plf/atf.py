@@ -76,6 +76,16 @@ class StepCost:
         self.ts = tuple(ts)
         self.cs = tuple(cs)
 
+    @staticmethod
+    def _trusted(init, ts, cs):
+        """A step cost from floats that already are what ``__init__``
+        would keep: jumps more than EPS_T apart, each changing the value."""
+        c = StepCost.__new__(StepCost)
+        c.init = init
+        c.ts = tuple(ts)
+        c.cs = tuple(cs)
+        return c
+
     @property
     def discontinuities(self):
         return len(self.ts)
@@ -467,38 +477,114 @@ def _a2_value(ts2, vs2, u, j=0):
 
 
 def _compose_cost(a1, a2, T):
+    """Cost of departing at t on compose(a1, a2): c2(a1(t)) + c1(t), up to T.
+
+    One forward sweep.  The preimages of c2's jumps come from two pointers
+    over a1 that only move forward as the jump value grows, with the
+    formulas of ``earliest_reach`` and ``latest_departure``.  Each piece's
+    value comes from pointers over a1, c1 and c2 that give exactly what
+    ``Atf.eval`` and ``StepCost.eval`` give, the min at a jump included.
+    """
     c1, c2 = a1.cost, a2.cost
     if c2.is_zero():
         if c1.is_zero():
             return ZERO_COST
         return _clip_cost(c1, T)
-    bounds = [d for d in c1.ts if d <= T + EPS_T]
+    ts1, vs1 = a1.ts, a1.vs
+    last = len(ts1) - 1
+    lim = T + EPS_T
+    bounds = [d for d in c1.ts if d <= lim]
+    jp = 0  # earliest_reach: a1 first reaches u on segment [jp, jp + 1]
+    jq = 0  # latest_departure: the last breakpoint with a1 <= u
+    v_first, v_last = vs1[0], vs1[last]
     for u in c2.ts:
-        if u <= a1.vs[0]:
+        if u <= v_first:
             continue  # the whole domain already maps past this jump
-        p = a1.earliest_reach(u)
-        if p is None:
-            continue
-        q = a1.latest_departure(u)
-        for x in (p, q):
-            if x is not None and x != float("-inf") and x <= T + EPS_T:
-                bounds.append(x)
-    bounds = sorted(set(bounds))
+        if v_last < u:
+            break  # a1 never reaches this jump or any later one
+        while vs1[jp + 1] < u:
+            jp += 1
+        t0, v0 = ts1[jp], vs1[jp]
+        p = t0 + (u - v0) * (ts1[jp + 1] - t0) / (vs1[jp + 1] - v0)
+        if p <= lim:
+            bounds.append(p)
+        if v_last <= u:
+            q = ts1[last]
+        else:
+            while vs1[jq + 1] <= u:
+                jq += 1
+            t0, v0 = ts1[jq], vs1[jq]
+            q = t0 + (u - v0) * (ts1[jq + 1] - t0) / (vs1[jq + 1] - v0)
+        if q <= lim:
+            bounds.append(q)
+    bounds.sort()
     merged = []
+    prev = None
     for x in bounds:
-        if merged and x - merged[-1] <= EPS_T:
+        if prev is not None and x - prev <= EPS_T:
             continue
         merged.append(x)
-    rep_left = (merged[0] if merged else min(a1.ts[0], T)) - 1.0
-    init = c2.eval(a1.eval(min(rep_left, a1.ts[0]))) + c1.eval(min(rep_left, a1.ts[0]))
-    pieces = []
-    for i, bnd in enumerate(merged):
-        right = merged[i + 1] if i + 1 < len(merged) else max(T, bnd + 1.0)
+        prev = x
+    # left of every bound and of ts1[0], a1 is vs1[0] and c1 is its init
+    init = c2.eval(vs1[0]) + c1.init
+    if not merged:
+        return StepCost._trusted(init, (), ())
+
+    # each piece is valued at its midpoint; the midpoints rise with the bounds
+    j1ts, j1cs, j1init = c1.ts, c1.cs, c1.init
+    j2ts, j2cs, j2init = c2.ts, c2.cs, c2.init
+    n1, n2 = len(j1ts), len(j2ts)
+    t_first = ts1[0]
+    k = m1 = m2 = 0
+    out_t, out_c = [], []
+    prev_c = init
+    rights = merged[1:]
+    rights.append(max(T, merged[-1] + 1.0))
+    for bnd, right in zip(merged, rights):
         mid = 0.5 * (bnd + right)
         if mid > T:
             mid = T
-        pieces.append((bnd, c2.eval(a1.eval(mid)) + c1.eval(mid)))
-    return StepCost(init, pieces)
+        # u = a1(mid), as Atf.eval
+        if mid <= t_first:
+            u = vs1[0]
+        else:
+            while k < last and ts1[k + 1] <= mid:
+                k += 1
+            if ts1[k] == mid or k == last:
+                u = vs1[k]
+            else:
+                t0, v0 = ts1[k], vs1[k]
+                u = v0 + (vs1[k + 1] - v0) * (mid - t0) / (ts1[k + 1] - t0)
+        # c2(u) and c1(mid), as StepCost.eval; m2 and m1 count the jumps at
+        # or before.  Rounding can put u one ulp above a1's value at the
+        # next breakpoint, so c2's pointer may have to step back.
+        while m2 < n2 and j2ts[m2] <= u:
+            m2 += 1
+        while m2 and j2ts[m2 - 1] > u:
+            m2 -= 1
+        if m2:
+            v2 = j2cs[m2 - 1]
+            if j2ts[m2 - 1] == u:
+                v2 = min(j2cs[m2 - 2] if m2 > 1 else j2init, v2)
+        else:
+            v2 = j2init
+        while m1 < n1 and j1ts[m1] <= mid:
+            m1 += 1
+        if m1:
+            v1 = j1cs[m1 - 1]
+            if j1ts[m1 - 1] == mid:
+                v1 = min(j1cs[m1 - 2] if m1 > 1 else j1init, v1)
+        else:
+            v1 = j1init
+        c = v2 + v1
+        # the bounds lie more than EPS_T apart, so of StepCost's clean-up
+        # only the drop of an unchanged value applies
+        if abs(c - prev_c) <= 1e-12:
+            continue
+        out_t.append(bnd)
+        out_c.append(c)
+        prev_c = c
+    return StepCost._trusted(init, out_t, out_c)
 
 
 def _clip_cost(c, T):

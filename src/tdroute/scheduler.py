@@ -134,64 +134,93 @@ def optimal_start(a, model=ZERO_MODEL, max_duration=None):
     arrival a(t0).  Between events the total is affine and lower
     semi-continuity makes point evaluations sufficient.
 
+    The scan is one merge of a's breakpoints with the sorted other events,
+    exact duplicates counted once: a(t) is the breakpoint value at a
+    breakpoint and is interpolated on the current segment elsewhere, and
+    c_a(t) is read by a pointer that moves forward with t.
+
     With max_duration set, starts whose duration exceeds it are excluded
     (crossings of the duration with the cap become extra events); returns
     None when no start is feasible.
     """
-    t_lo, t_hi = a.t_min, a.t_max
-    events = {t_lo, t_hi}
-    for t in a.ts:
-        if t_lo <= t <= t_hi:
-            events.add(t)
-    for t in a.cost.ts:
-        if t_lo <= t <= t_hi:
-            events.add(t)
+    ts, vs = a.ts, a.vs
+    t_lo, t_hi = ts[0], ts[-1]
+    cost = a.cost
+    extra = [t for t in cost.ts if t_lo <= t <= t_hi]
     # c_ot breakpoints (and the duration cap): solve a(t) - t = d per segment
     duration_levels = list(model.c_ot.xs[1:])
     if max_duration is not None:
         duration_levels.append(max_duration)
     if duration_levels and a.b > 1:
-        durs = [v - t for t, v in zip(a.ts, a.vs)]
+        durs = [v - t for t, v in zip(ts, vs)]
         for d in duration_levels:
             for i in range(a.b - 1):
                 d0, d1 = durs[i], durs[i + 1]
                 if (d0 - d) * (d1 - d) < 0:
                     lam = (d0 - d) / (d0 - d1)
-                    events.add(a.ts[i] + lam * (a.ts[i + 1] - a.ts[i]))
+                    extra.append(ts[i] + lam * (ts[i + 1] - ts[i]))
                 elif d0 == d:
-                    events.add(a.ts[i])
+                    extra.append(ts[i])
     # c_wt discontinuities, directly and through the arrival time
-    for w in model.c_wt.ts:
+    c_ot, c_wt = model.c_ot, model.c_wt
+    for w in c_wt.ts:
         if t_lo <= w <= t_hi:
-            events.add(w)
+            extra.append(w)
         p = a.earliest_reach(w)
         if p is not None and p != float("-inf") and t_lo <= p <= t_hi:
-            events.add(p)
+            extra.append(p)
         q = a.latest_departure(w)
         if q is not None and t_lo <= q <= t_hi:
-            events.add(q)
+            extra.append(q)
+    extra = sorted(set(extra))
 
-    best_t = None
-    best_cost = None
-    for t in sorted(events):
-        t = min(max(t, t_lo), t_hi)
-        if max_duration is not None and a.eval(t) - t > max_duration + 1e-9:
+    cap = None if max_duration is None else max_duration + 1e-9
+    no_wt = not c_wt.ts and c_wt.init == 0.0  # _wt_integral is then 0.0
+    jts, jvals = cost.ts, (cost.init,) + cost.cs
+    nj, nb, ne = len(jts), len(ts), len(extra)
+    i = k = m = 0  # next breakpoint, next extra event, c_a jumps at or before t
+    scanned = 0
+    best = None  # (total, t0, arrival, c_a, c_ot, c_wt)
+    while i < nb or k < ne:
+        if k == ne or (i < nb and ts[i] <= extra[k]):
+            t, arrival = ts[i], vs[i]
+            if k < ne and extra[k] == t:
+                k += 1
+            i += 1
+        else:
+            t = extra[k]
+            k += 1
+            if i == nb:
+                # a crossing rounded past t_max: evaluated at t_max
+                t, arrival = t_hi, vs[-1]
+            else:
+                t0, v0 = ts[i - 1], vs[i - 1]
+                arrival = v0 + (vs[i] - v0) * (t - t0) / (ts[i] - t0)
+        scanned += 1
+        if cap is not None and arrival - t > cap:
             continue
-        c = total_cost(a, model, t)
-        if best_cost is None or c < best_cost - 1e-12:
-            best_cost = c
-            best_t = t
-    if best_t is None:
+        while m < nj and jts[m] <= t:
+            m += 1
+        dep = jvals[m]
+        if m and jts[m - 1] == t:
+            dep = min(jvals[m - 1], dep)
+        duration = arrival - t
+        ot = c_ot.eval(duration if duration >= 0.0 else 0.0)
+        wt = 0.0 if no_wt else _wt_integral(c_wt, t, arrival)
+        c = dep + ot + wt
+        if best is None or c < best[0] - 1e-12:
+            best = (c, t, arrival, dep, ot, wt)
+    if best is None:
         return None
-    arrival = a.eval(best_t)
+    c, t, arrival, dep, ot, wt = best
     return ScheduleResult(
-        t0=best_t,
-        total_cost=best_cost,
-        cost_departure=a.cost.eval(best_t),
-        cost_overtime=model.c_ot.eval(max(arrival - best_t, 0.0)),
-        cost_worktime=_wt_integral(model.c_wt, best_t, arrival),
-        duration=arrival - best_t,
-        events_scanned=len(events),
+        t0=t,
+        total_cost=c,
+        cost_departure=dep,
+        cost_overtime=ot,
+        cost_worktime=wt,
+        duration=arrival - t,
+        events_scanned=scanned,
     )
 
 

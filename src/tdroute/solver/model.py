@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..plf import Atf, EmptyDomain, OutOfDomain, ZERO_COST, compose
+from ..plf import Atf, EmptyDomain, OutOfDomain, StepCost, ZERO_COST, compose
 from ..scheduler import CostModel, optimal_start, soft_window_penalty
 from ..touratf import SegmentStore
 
@@ -106,6 +106,9 @@ class Instance:
         self._contents = {}           # (vehicle, stops, brackets) -> content id
         self.item_by_id = {it.id: it for it in self.items}
         self.item_slot = {it.id: i for i, it in enumerate(self.items)}
+        # the levels of a tour's store: only pickup-and-delivery prices read
+        # ranges that touch neither tour end
+        self.store_k = 0 if all(it.depot_pickup for it in self.items) else 2
 
     def arc(self, p, q):
         return self.matrix[p][q]
@@ -168,8 +171,16 @@ class Instance:
 
 
 def serve_atf(stop, brackets=()):
-    """Wait for the window, serve, not yet traveling anywhere."""
-    cost = soft_window_penalty(stop.close, brackets) if brackets else ZERO_COST
+    """Wait for the window, serve, not yet traveling anywhere.
+
+    A soft-window penalty is charged at the service start max(t, open): an
+    arrival before the window opens pays the penalty of the opening time.
+    """
+    cost = ZERO_COST
+    if brackets:
+        pen = soft_window_penalty(stop.close, brackets)
+        cost = StepCost(pen.eval(stop.open),
+                        [(t, c) for t, c in zip(pen.ts, pen.cs) if t >= stop.open])
     if stop.close - stop.open <= 1e-9:
         return Atf(((stop.close, stop.close + stop.duration),), cost=cost)
     return Atf(((stop.open, stop.open + stop.duration),
@@ -255,7 +266,7 @@ class Tour:
         inst, veh = self.instance, self.vehicle
         actions = [inst.action(veh, self.stops, idx, self.brackets)
                    for idx in range(-1, len(self.stops))]
-        store = SegmentStore(actions)
+        store = SegmentStore(actions, k=inst.store_k)
         schedule = schedule_tour(veh, store.full_atf())
         if schedule is None:
             raise EmptyDomain(f"tour of vehicle {veh.id} is infeasible")
@@ -317,10 +328,13 @@ class Tour:
 
         Prices of depot-pickup items read the store's prefix and suffix
         folds only, and those depend on the stop list alone: such a key
-        names the tour's content.  Pickup-delivery prices also read
-        mid-range queries, whose bits depend on the block layout; they share
-        the content key while the store is laid out as a fresh build would
-        be, and are keyed by this tour revision otherwise.
+        names the tour's content.  The rest applies only to tours of
+        instances with pickup-delivery items, whose stores keep block
+        levels (a fold-only store always reads ``from_scratch``).
+        Pickup-delivery prices also read mid-range queries, whose bits
+        depend on the block layout; they share the content key while the
+        store is laid out as a fresh build would be, and are keyed by this
+        tour revision otherwise.
         """
         inst = self.instance
         if item.depot_pickup or self.store.from_scratch:

@@ -6,6 +6,13 @@ contiguous action range a_{i,j} comes out of at most 2k-1 compose
 operations (k-1 when the range touches either tour end), and hypothetical
 insertions and splices can be priced without mutating anything.
 
+A store with k = 0 keeps only the folds: the prefixes a_{0,j} and the
+suffixes a_{i,n}.  It answers ranges that touch a tour end, which is all
+that splices at one position read, and raises ``MidRangeQuery`` for any
+other range.  An insertion then costs one refresh of the folds instead
+of a block tree and a periodic re-layout: n + 3 composes for n actions
+when the only pending update is the action before it, as a tour makes.
+
 Action boundaries run 0..n; a_{i,j} composes actions i+1..j.  Every
 compose performed on behalf of the store goes through one instrumented
 counter, which the budget tests read.
@@ -188,12 +195,17 @@ class IndexOutOfRange(IndexError):
     pass
 
 
+class MidRangeQuery(LookupError):
+    """A range touching neither tour end, asked of a k = 0 store."""
+
+
 class SegmentStore(_Level):
-    """Multi-level composition store over a tour's action ATFs."""
+    """Multi-level composition store over a tour's action ATFs; k = 0
+    keeps the prefix and suffix folds only."""
 
     def __init__(self, actions, k=2, _counter=None):
         self.counter = _counter if _counter is not None else _Counter()
-        self.k = max(1, int(k))
+        self.k = max(0, int(k))
         self._actions = list(actions)
         if not self._actions:
             raise ValueError("a store needs at least one action")
@@ -218,13 +230,15 @@ class SegmentStore(_Level):
         """A fresh (single, blocks, top, pre, suf) over the actions,
         assigned to nothing."""
         n = len(actions)
-        if self.k == 1 or n <= 3:
+        if self.k and (self.k == 1 or n <= 3):
             single = _Bst(actions, self.counter)
             return single, None, None, single.pre, single.suf
-        p = max(2, math.ceil(n ** (1.0 / self.k)))
-        blocks = [[s, _Bst(actions[s:s + p], self.counter)] for s in range(0, n, p)]
-        top = SegmentStore([b.full() for _, b in blocks], k=self.k - 1,
-                           _counter=self.counter)
+        blocks = top = None
+        if self.k:
+            p = max(2, math.ceil(n ** (1.0 / self.k)))
+            blocks = [[s, _Bst(actions[s:s + p], self.counter)] for s in range(0, n, p)]
+            top = SegmentStore([b.full() for _, b in blocks], k=self.k - 1,
+                               _counter=self.counter)
         pre = [None] * (n + 1)
         suf = [None] * (n + 1)
         _refresh_ends(self._c, actions, pre, suf, 1, n)
@@ -237,7 +251,8 @@ class SegmentStore(_Level):
         # builds.  Prefix and suffix folds depend on the actions alone;
         # mid-range queries also depend on the layout, which insert_action
         # changes until the next rebuild.  Updates recompute exactly, so
-        # they keep it.
+        # they keep it, and a k = 0 store, which has no layout, always
+        # reads True.
         self.from_scratch = True
 
     def flush(self):
@@ -254,8 +269,9 @@ class SegmentStore(_Level):
                 pre, suf = single.pre, single.suf
             else:
                 by_block = {}
-                for idx in pending:
-                    by_block.setdefault(self._block_of(idx), []).append(idx)
+                if self._blocks is not None:
+                    for idx in pending:
+                        by_block.setdefault(self._block_of(idx), []).append(idx)
                 fresh = []
                 for bi, idxs in sorted(by_block.items()):
                     start, bst = self._blocks[bi]
@@ -301,6 +317,9 @@ class SegmentStore(_Level):
             return self._pre[j]
         if j == self.n:
             return self._suf[i]
+        if self.k == 0:
+            raise MidRangeQuery(f"range ({i}, {j}) of a store that keeps only "
+                                f"prefix and suffix folds (n={self.n})")
         if self._single is not None:
             return self._single.query(i, j)
         bi = self._block_of(i + 1)
@@ -341,13 +360,24 @@ class SegmentStore(_Level):
 
     def insert_action(self, pos, new):
         """Insert a new action so it becomes action number pos (1-based).
-        Every ``ceil(log2(n + 1))`` insertions the store is rebuilt from
-        scratch.  On ``EmptyDomain`` nothing is inserted."""
+        Every ``ceil(log2(n + 1))`` insertions a store with levels is
+        rebuilt from scratch.  On ``EmptyDomain`` nothing is inserted, and
+        pending updates stay applied exactly when they alone are
+        feasible, as if ``flush`` had run first."""
         if not (1 <= pos <= self.n + 1):
             raise IndexOutOfRange(str(pos))
+        if self.k == 0:
+            self._insert_into_folds(pos, new)
+            return
         self.flush()
         actions = self._actions[:pos - 1] + [new] + self._actions[pos - 1:]
         n = len(actions)
+        if self._struct_ops + 1 >= max(1, math.ceil(math.log2(n + 1))):
+            layout = self._layout(actions)
+            self._actions = actions
+            self._struct_ops = 0
+            self._set_layout(layout)
+            return
         if self._single is not None:
             single = _Bst(actions, self.counter)
         else:
@@ -357,12 +387,6 @@ class SegmentStore(_Level):
             pre = [None] * (n + 1)
             suf = [None] * (n + 1)
             _refresh_ends(self._c, actions, pre, suf, 1, n)
-        if self._struct_ops + 1 >= max(1, math.ceil(math.log2(n + 1))):
-            layout = self._layout(actions)
-            self._actions = actions
-            self._struct_ops = 0
-            self._set_layout(layout)
-            return
         self._actions = actions
         self._struct_ops += 1
         if self._single is not None:
@@ -374,6 +398,24 @@ class SegmentStore(_Level):
             self._top.update_action(bi + 1, bst.full())
             self._pre, self._suf = pre, suf
         self.from_scratch = False
+
+    def _insert_into_folds(self, pos, new):
+        """insert_action on a k = 0 store.  The pending updates and the
+        insertion share one refresh: prefixes from the first changed
+        action onward, suffixes below the last one."""
+        actions = self._actions[:pos - 1] + [new] + self._actions[pos - 1:]
+        changed = [idx + (idx >= pos) for idx in self._pending]
+        lo = min(changed + [pos])
+        hi = max(changed + [pos])
+        pre = self._pre[:lo] + [None] * (len(actions) + 1 - lo)
+        suf = [None] * hi + self._suf[hi - 1:]
+        try:
+            _refresh_ends(self._c, actions, pre, suf, lo, hi)
+        except EmptyDomain:
+            self.flush()  # undoes the updates and raises if they alone fail
+            raise
+        self._actions, self._pre, self._suf = actions, pre, suf
+        self._pending.clear()
 
     # -- hypothetical evaluations -------------------------------------------
 

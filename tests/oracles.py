@@ -9,8 +9,13 @@ from bisect import bisect_right
 
 import numpy as np
 
-from tdroute.plf import Atf, StepCost, compose
+import inspect
+import struct
+import textwrap
+
+from tdroute.plf import EPS_T, Atf, StepCost, ZERO_COST, compose
 from tdroute.plf.envelope import PiecewiseLinear
+from tdroute.scheduler import ScheduleResult, ZERO_MODEL, _wt_integral, total_cost
 
 
 def rand_atf(rng, b_max=8, t0=0.0, span=10.0, flat_prob=0.3, dur_max=3.0):
@@ -22,6 +27,33 @@ def rand_atf(rng, b_max=8, t0=0.0, span=10.0, flat_prob=0.3, dur_max=3.0):
         step = 0.0 if rng.random() < flat_prob else float(rng.uniform(0, 1.8))
         vs.append(max(vs[-1] + step * (ts[i] - ts[i - 1]), float(ts[i])))
     return Atf(list(zip(ts, vs)))
+
+
+def rand_costed_atf(rng, b_max=8, max_jumps=5):
+    """Random ATF with a step cost whose jumps often sit exactly on one of
+    its breakpoint times or values, or on a coarse grid, so that jumps meet
+    breakpoints, preimages and each other; breakpoints are rounded to a few
+    decimals, so flat segments and repeated values are common."""
+    b = int(rng.integers(1, b_max + 1))
+    t0 = float(rng.uniform(-5, 5))
+    ts = np.unique(np.round(np.sort(rng.uniform(t0, t0 + 10.0, size=b)),
+                            int(rng.integers(1, 7))))
+    vs = [float(ts[0] + rng.uniform(0.0, 3.0))]
+    for i in range(1, len(ts)):
+        step = 0.0 if rng.random() < 0.3 else float(rng.uniform(0, 1.8))
+        vs.append(max(vs[-1] + step * (ts[i] - ts[i - 1]), float(ts[i])))
+    pieces = []
+    for _ in range(int(rng.integers(0, max_jumps + 1))):
+        r = rng.random()
+        if r < 0.25:
+            t = float(rng.choice(vs))
+        elif r < 0.5:
+            t = float(rng.choice(ts))
+        else:
+            t = float(np.round(rng.uniform(t0 - 2, t0 + 14), int(rng.integers(0, 4))))
+        pieces.append((t, float(np.round(rng.uniform(0, 5), 1))))
+    init = float(np.round(rng.uniform(0, 3), 1)) if rng.random() < 0.7 else 0.0
+    return Atf(list(zip(ts, vs)), cost=StepCost(init, sorted(pieces)))
 
 
 def rand_stepcost(rng, t0, t1, max_pieces=3):
@@ -218,3 +250,125 @@ def td_arc_reference(free_flow, profile, horizon, cost=None):
         if lo < t < hi:
             cands.add(t)
     return Atf([(t, t_of(z_of(t) + free_flow)) for t in sorted(cands)], cost=cost)
+
+
+def compose_cost_reference(a1, a2, T):
+    """The compose cost ``compose`` used to build: each preimage of a c2
+    jump found by ``earliest_reach`` and ``latest_departure``, each piece
+    valued by ``Atf.eval`` and ``StepCost.eval`` at its midpoint, the result
+    checked by ``StepCost.__init__``.  Kept as the reference for the
+    one-sweep builder."""
+    c1, c2 = a1.cost, a2.cost
+    if c2.is_zero():
+        if c1.is_zero():
+            return ZERO_COST
+        return StepCost(c1.init, [(t, v) for t, v in zip(c1.ts, c1.cs) if t <= T + EPS_T])
+    bounds = [d for d in c1.ts if d <= T + EPS_T]
+    for u in c2.ts:
+        if u <= a1.vs[0]:
+            continue
+        p = a1.earliest_reach(u)
+        if p is None:
+            continue
+        q = a1.latest_departure(u)
+        for x in (p, q):
+            if x is not None and x != float("-inf") and x <= T + EPS_T:
+                bounds.append(x)
+    bounds = sorted(set(bounds))
+    merged = []
+    for x in bounds:
+        if merged and x - merged[-1] <= EPS_T:
+            continue
+        merged.append(x)
+    rep_left = (merged[0] if merged else min(a1.ts[0], T)) - 1.0
+    init = c2.eval(a1.eval(min(rep_left, a1.ts[0]))) + c1.eval(min(rep_left, a1.ts[0]))
+    pieces = []
+    for i, bnd in enumerate(merged):
+        right = merged[i + 1] if i + 1 < len(merged) else max(T, bnd + 1.0)
+        mid = 0.5 * (bnd + right)
+        if mid > T:
+            mid = T
+        pieces.append((bnd, c2.eval(a1.eval(mid)) + c1.eval(mid)))
+    return StepCost(init, pieces)
+
+
+def optimal_start_reference(a, model=ZERO_MODEL, max_duration=None):
+    """The event-set ``optimal_start``: every event into a set, sorted, and
+    each one costed by ``total_cost`` with bisects.  Kept as the reference
+    for the merge scan."""
+    t_lo, t_hi = a.t_min, a.t_max
+    events = {t_lo, t_hi}
+    for t in a.ts:
+        if t_lo <= t <= t_hi:
+            events.add(t)
+    for t in a.cost.ts:
+        if t_lo <= t <= t_hi:
+            events.add(t)
+    duration_levels = list(model.c_ot.xs[1:])
+    if max_duration is not None:
+        duration_levels.append(max_duration)
+    if duration_levels and a.b > 1:
+        durs = [v - t for t, v in zip(a.ts, a.vs)]
+        for d in duration_levels:
+            for i in range(a.b - 1):
+                d0, d1 = durs[i], durs[i + 1]
+                if (d0 - d) * (d1 - d) < 0:
+                    lam = (d0 - d) / (d0 - d1)
+                    events.add(a.ts[i] + lam * (a.ts[i + 1] - a.ts[i]))
+                elif d0 == d:
+                    events.add(a.ts[i])
+    for w in model.c_wt.ts:
+        if t_lo <= w <= t_hi:
+            events.add(w)
+        p = a.earliest_reach(w)
+        if p is not None and p != float("-inf") and t_lo <= p <= t_hi:
+            events.add(p)
+        q = a.latest_departure(w)
+        if q is not None and t_lo <= q <= t_hi:
+            events.add(q)
+    best_t = None
+    best_cost = None
+    for t in sorted(events):
+        t = min(max(t, t_lo), t_hi)
+        if max_duration is not None and a.eval(t) - t > max_duration + 1e-9:
+            continue
+        c = total_cost(a, model, t)
+        if best_cost is None or c < best_cost - 1e-12:
+            best_cost = c
+            best_t = t
+    if best_t is None:
+        return None
+    arrival = a.eval(best_t)
+    return ScheduleResult(
+        t0=best_t,
+        total_cost=best_cost,
+        cost_departure=a.cost.eval(best_t),
+        cost_overtime=model.c_ot.eval(max(arrival - best_t, 0.0)),
+        cost_worktime=_wt_integral(model.c_wt, best_t, arrival),
+        duration=arrival - best_t,
+        events_scanned=len(events),
+    )
+
+
+def bits(*xs):
+    """The IEEE bytes of floats (None and ints allowed), for bitwise
+    comparison: -0.0 and 0.0 differ here, unlike under ==."""
+    out = []
+    for x in xs:
+        out.append(b"N" if x is None else struct.pack("<d", float(x)))
+    return b"".join(out)
+
+
+def cost_bits(c):
+    return bits(c.init, *c.ts) + b"|" + bits(*c.cs)
+
+
+def mutant(fn, old, new):
+    """fn recompiled from its source with one expression replaced, in its
+    own module's namespace: a deliberately broken copy for checking that
+    a test notices the break."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, f"{old!r} is not in {fn.__name__} exactly once"
+    namespace = dict(fn.__globals__)
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]

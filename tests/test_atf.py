@@ -5,8 +5,10 @@ import pytest
 
 from tdroute.plf import (Atf, EmptyDomain, OutOfDomain, StepCost, compose,
                          compose_chain, min2)
+from tdroute.plf import atf as atf_mod
 from tdroute.plf.atf import _normalize_points
-from oracles import (fold_compose, normalize_points_reference, rand_atf,
+from oracles import (compose_cost_reference, cost_bits, fold_compose, mutant,
+                     normalize_points_reference, rand_atf, rand_costed_atf,
                      rand_stepcost, same_function)
 
 RNG = np.random.default_rng(20240601)
@@ -270,3 +272,96 @@ class TestNormalizePoints:
                 from_lists[1].check_invariants()
             else:
                 assert from_pairs[1] == from_lists[1]
+
+
+def _compose_T(a1, a2):
+    """The last departure compose keeps: a1's domain end, or the latest
+    departure that still arrives within a2's domain."""
+    if a1.vs[-1] <= a2.ts[-1]:
+        return a1.ts[-1]
+    return a1.latest_departure(a2.ts[-1])
+
+
+def _compose_cost_cases():
+    """(a1, a2, T) triples: seeded random step-cost ATFs at compose's own
+    cut-off and at cut-offs on breakpoints and jumps, then hand-made edge
+    cases."""
+    rng = np.random.default_rng(5150)
+    cases = []
+    while len(cases) < 4000:
+        a1, a2 = rand_costed_atf(rng), rand_costed_atf(rng)
+        if a1.vs[0] > a2.ts[-1] + 1e-9:
+            continue  # compose raises EmptyDomain before pricing anything
+        T = _compose_T(a1, a2)
+        cases.append((a1, a2, T))
+        # a clipped cut-off: on a breakpoint or a jump inside a1's domain
+        inner = [t for t in a1.ts + a1.cost.ts if a1.ts[0] <= t <= T]
+        cases.append((a1, a2, float(rng.choice(inner))))
+
+    # a1 flat at 5 on [2, 4]; c2 jumps at vs[0] = 4, at the flat value 5,
+    # at an interior value 7 and at vs[-1] = 9, each dearer on its right,
+    # so a piece whose arrival sits exactly on a jump takes the left value
+    a1 = Atf(((0.0, 4.0), (2.0, 5.0), (4.0, 5.0), (6.0, 9.0)),
+             cost=StepCost(0.5, [(-1.0, 1.5), (0.0, 2.5), (5.0, 0.5), (6.0, 3.0),
+                                 (6.0 + 0.5e-9 + 1e-12, 4.0)]))
+    c2 = StepCost(1.0, [(4.0, 2.0), (5.0, 6.0), (7.0, 4.0), (9.0, 9.0)])
+    wide = Atf(((0.0, 0.0), (20.0, 20.0)), cost=c2)
+    cases.append((a1, wide, 6.0))
+    # a2's domain ends at 7: T = 5 sits on a c1 jump, dearer on its right
+    short = Atf(((0.0, 0.0), (7.0, 7.0)), cost=c2)
+    cases.append((a1, short, _compose_T(a1, short)))
+    # jumps within EPS_T of T, on both sides
+    near = StepCost(0.0, [(6.0 - 2e-9, 1.0), (6.0 + 0.6e-9, 3.0), (6.0 + 3e-9, 7.0)])
+    cases.append((a1.with_cost(near), wide, 6.0))
+    cases.append((a1, Atf(((0.0, 0.0), (20.0, 20.0)), cost=near), 6.0))
+    # a single-breakpoint a1 and a jump at its only value
+    point = Atf(((2.0, 5.0),), cost=StepCost(1.0, [(2.0, 0.0)]))
+    cases.append((point, wide, 2.0))
+    # interpolation just left of the breakpoint (5.44, 6.902) rounds one ulp
+    # above 6.902, and a1 stays flat at 6.902 after it: the arrivals of
+    # consecutive pieces fall by an ulp, across a c2 jump at the higher one
+    t1 = 5.4399999999999995
+    mid = 5.439999999999999  # the float just below t1, the first piece's mid
+    rounded = Atf(((0.887, 3.375), (t1, 6.902), (t1 + 1.4, 6.902)),
+                  cost=StepCost(0.0, [(mid - 0.25, 1.0), (mid + 0.25, 0.0), (t1 + 1.0, 1.0)]))
+    assert rounded.eval(mid) == 6.902000000000001
+    cases.append((rounded, Atf(((0.0, 0.0), (20.0, 20.0)),
+                               cost=StepCost(0.0, [(6.902000000000001, 5.0)])), t1 + 1.4))
+    # c2 constant but not zero: only c1's jumps bound the pieces
+    cases.append((a1, Atf(((0.0, 0.0), (20.0, 20.0)), cost=StepCost(2.0)), 6.0))
+    return cases
+
+
+def _compose_cost_mismatches(impl):
+    return [(a1, a2, T) for a1, a2, T in _compose_cost_cases()
+            if cost_bits(impl(a1, a2, T)) != cost_bits(compose_cost_reference(a1, a2, T))]
+
+
+class TestComposeCostSweep:
+    """The one-sweep compose cost equals the bisect-based reference bit
+    for bit."""
+
+    def test_bitwise_equal_to_reference(self):
+        assert _compose_cost_mismatches(atf_mod._compose_cost) == []
+
+    def test_compose_carries_the_reference_cost(self):
+        rng = np.random.default_rng(77)
+        checked = 0
+        for _ in range(1500):
+            a1, a2 = rand_costed_atf(rng), rand_costed_atf(rng)
+            try:
+                got = compose(a1, a2)
+            except EmptyDomain:
+                continue
+            want = compose_cost_reference(a1, a2, _compose_T(a1, a2))
+            assert cost_bits(got.cost) == cost_bits(want)
+            checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize("old, new", [
+        ("v2 = min(j2cs[m2 - 2] if m2 > 1 else j2init, v2)", "pass"),  # c2's right-hand value at a jump
+        ("v1 = min(j1cs[m1 - 2] if m1 > 1 else j1init, v1)", "pass"),  # c1's right-hand value at a jump
+        ("while m2 and j2ts[m2 - 1] > u:", "while False:"),  # c2's pointer never steps back
+    ])
+    def test_cases_catch_a_mutant(self, old, new):
+        assert _compose_cost_mismatches(mutant(atf_mod._compose_cost, old, new))

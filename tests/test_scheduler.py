@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from tdroute import scheduler
 from tdroute.plf import Atf, StepCost
 from tdroute.scheduler import (CostModel, PLCost, optimal_start,
                                soft_window_penalty, total_cost)
-from oracles import rand_atf, rand_stepcost
+from oracles import (bits, mutant, optimal_start_reference, rand_atf,
+                     rand_costed_atf, rand_stepcost)
 
 RNG = np.random.default_rng(99)
 
@@ -116,3 +118,78 @@ class TestSoftWindowPenalty:
             soft_window_penalty(0.0, ((10, 1.0), (15, 2.0)))
         with pytest.raises(ValueError):
             soft_window_penalty(0.0, ((15, 3.0), (10, 1.0)))
+
+
+def _schedule_bits(r):
+    if r is None:
+        return b"None"
+    return bits(r.t0, r.total_cost, r.cost_departure, r.cost_overtime,
+                r.cost_worktime, r.duration, r.events_scanned)
+
+
+def _scan_cases():
+    """(a, model, max_duration) triples: seeded random step-cost ATFs under
+    random duration costs, work-time rates and caps, some snapped onto the
+    ATF's own durations and times, then hand-made edge cases."""
+    rng = np.random.default_rng(8080)
+    cases = []
+    for _ in range(3000):
+        a = rand_costed_atf(rng)
+        durs = [v - t for t, v in zip(a.ts, a.vs)]
+        xs = np.unique(np.concatenate([[0.0], np.round(rng.uniform(0, 3, int(rng.integers(0, 3))), 2)]))
+        if rng.random() < 0.3 and len(durs) > 1:
+            xs = np.unique(np.concatenate([xs, [float(rng.choice(durs))]]))
+        ys = np.cumsum(np.concatenate([[0.0], rng.uniform(0, 2, len(xs) - 1)]))
+        c_ot = PLCost(list(zip(xs, ys)), final_slope=float(rng.uniform(0, 2)))
+        c_wt = StepCost()
+        if rng.random() < 0.3:
+            grid = list(a.ts) + list(a.vs)
+            c_wt = StepCost(float(rng.uniform(0, 0.5)),
+                            sorted((float(rng.choice(grid)) if rng.random() < 0.5
+                                    else float(rng.uniform(-5, 15)), float(rng.uniform(0, 1)))
+                                   for _ in range(int(rng.integers(1, 4)))))
+        md = None
+        r = rng.random()
+        if r < 0.2:
+            md = float(rng.choice(durs))
+        elif r < 0.4:
+            md = float(rng.uniform(0, 3))
+        cases.append((a, CostModel(c_ot=c_ot, c_wt=c_wt), md))
+
+    # cost jumps before t_lo, at t_lo, inside, at t_hi; each cheaper on the
+    # left, so a start exactly on a jump pays the left value
+    a = Atf(((0.0, 2.0), (4.0, 6.0), (8.0, 12.0)),
+            cost=StepCost(1.0, [(-1.0, 0.5), (0.0, 3.0), (4.0, 5.0), (8.0, 9.0)]))
+    cases += [(a, CostModel(), None), (a, CostModel.hourly(3600.0), None),
+              (a, CostModel.hourly(3600.0), 3.0), (a, CostModel.hourly(3600.0), 1.0)]
+    # a cost dearer on the right only after t_hi: not an event
+    cases.append((a.with_cost(StepCost(1.0, [(8.5, 0.0)])), CostModel(), None))
+    # a duration-cap crossing that rounds one ulp past t_hi
+    capped = Atf(((0.1066306096972589, 2.8093320849491272),
+                  (37.92676514964766, 38.26638304360709)))
+    cases.append((capped, CostModel(), 0.33961789395943504))
+    # a work-time rate changing at breakpoint values and times
+    c_wt = StepCost(0.25, [(2.0, 1.0), (4.0, 0.5), (6.0, 2.0)])
+    cases.append((a, CostModel(c_ot=PLCost(((0.0, 0.0), (3.0, 1.0)), 0.5), c_wt=c_wt), 4.0))
+    return cases
+
+
+def _scan_mismatches(impl):
+    return [case for case in _scan_cases()
+            if _schedule_bits(impl(*case)) != _schedule_bits(optimal_start_reference(*case))]
+
+
+class TestMergeScan:
+    """The merge-scan optimal_start equals the event-set reference bit for
+    bit, events_scanned included."""
+
+    def test_bitwise_equal_to_reference(self):
+        assert _scan_mismatches(optimal_start) == []
+
+    @pytest.mark.parametrize("old, new", [
+        ("dep = min(jvals[m - 1], dep)", "dep = dep"),  # right-hand value at a jump
+        ("if k < ne and extra[k] == t:", "if False:"),  # duplicates scanned twice
+        ("if cap is not None and arrival - t > cap:", "if False:"),  # cap ignored
+    ])
+    def test_cases_catch_a_mutant(self, old, new):
+        assert _scan_mismatches(mutant(scheduler.optimal_start, old, new))

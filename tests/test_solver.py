@@ -167,18 +167,40 @@ class TestCheapestInsertion:
             assert measured == pytest.approx(plan.delta_cost, abs=1e-6)
 
 
+def _answerable_ranges(store):
+    """Every range the store answers: all of them with block levels, those
+    touching a tour end on a fold-only (k = 0) store."""
+    n = store.n
+    return [(i, j) for i in range(n) for j in range(i + 1, n + 1)
+            if store.k or i == 0 or j == n]
+
+
 class TestInsertSingle:
     def test_failed_insert_leaves_a_fresh_tour(self):
         """Random single-stop inserts into a long tour: after each one that
         raises EmptyDomain the tour equals a fresh Tour over its old stops,
-        down to every range the store can answer."""
+        down to every range the store can answer.  The instance has
+        depot-pickup items only, so its tours keep fold-only stores."""
         inst = grid_instance(24, seed=70, n_vehicles=2, capacity=1000.0)
+        assert inst.store_k == 0
+        self._check_failed_inserts(inst, rounds=60)
+
+    def test_failed_insert_leaves_a_fresh_tour_mixed(self):
+        """The same on an instance with pickup-and-delivery items, whose
+        tours keep k = 2 stores: mid-range queries are compared too."""
+        inst = _mixed_td_instance(16, 70)
+        assert inst.store_k == 2
+        self._check_failed_inserts(inst, rounds=30)
+
+    @staticmethod
+    def _check_failed_inserts(inst, rounds):
         sol = regret_construct(inst, random.Random(0))
         base = max(sol.tours, key=lambda t: len(t.stops))
-        outside = [it.stops()[0] for it in inst.items if it.id not in base.item_ids]
+        outside = [it.stops()[0] for it in inst.items
+                   if it.depot_pickup and it.id not in base.item_ids]
         rng = random.Random(71)
         failures = 0
-        for _ in range(60):
+        for _ in range(rounds):
             tour = Tour(inst, base.vehicle, base.stops)
             for _ in range(3):
                 before = list(tour.stops)
@@ -193,11 +215,9 @@ class TestInsertSingle:
                     assert tour.schedule.t0 == fresh.schedule.t0
                     assert (tour.eat, tour.lst, tour.loads, tour.max_load) == (
                         fresh.eat, fresh.lst, fresh.loads, fresh.max_load)
-                    n = fresh.store.n
-                    assert tour.store.n == n
-                    for i in range(n):
-                        for j in range(i + 1, n + 1):
-                            assert _same_atf(tour.store.query(i, j), fresh.store.query(i, j))
+                    assert tour.store.n == fresh.store.n
+                    for i, j in _answerable_ranges(fresh.store):
+                        assert _same_atf(tour.store.query(i, j), fresh.store.query(i, j))
         assert failures >= 10
 
 
@@ -525,6 +545,25 @@ def _audit_memo(monkeypatch):
             if not item.depot_pickup:
                 best_insertion(inst, tour, item)
     return hits, wrong
+
+
+class TestSoftWindows:
+    def test_penalty_charged_at_service_start(self):
+        """Item 1 of grid_instance(4, seed=3) with its window narrowed to its
+        last 120 s: a one-item tour arrives at 31 s and waits for the
+        window, so service starts inside the last 5 minutes and pays $4,
+        not the $1 of its arrival time."""
+        base = grid_instance(4, seed=3)
+        items = [dataclasses.replace(it, delivery_open=it.delivery_close - 120.0)
+                 if it.id == 1 else it for it in base.items]
+        inst = Instance(base.name, base.matrix, items, base.vehicles, horizon=base.horizon)
+        stop = inst.item_by_id[1].stops()[0]
+        hard = Tour(inst, inst.vehicles[0], [stop])
+        soft = Tour(inst, inst.vehicles[0], [stop], SOFT)
+        assert soft.schedule.t0 == hard.schedule.t0
+        assert soft.schedule.total_cost - hard.schedule.total_cost == pytest.approx(4.0)
+        # the validator rebuilds the tour from its actions and agrees
+        assert validate(Solution(inst, [soft], unserved=[2, 3, 4]), inst).feasible
 
 
 class TestPriceMemo:

@@ -6,15 +6,42 @@ import numpy as np
 import pytest
 
 from tdroute.plf import Atf, EmptyDomain
-from tdroute.touratf import IndexOutOfRange, SegmentStore
-from oracles import fold_compose, rand_chain, rand_chain_action, same_function
+from tdroute.plf import compose
+from tdroute.touratf import IndexOutOfRange, MidRangeQuery, SegmentStore
+from oracles import (bits, cost_bits, fold_compose, rand_chain, rand_chain_action,
+                     same_function)
 
 RNG = np.random.default_rng(1312)
 
 # The stores' compose total over the fixed sequence of
 # test_seeded_mixed_edits_keep_ends_left_folds; a prefix/suffix rebuild that
 # composes more than it must changes this number.
-MIXED_EDITS_COMPOSES = 28132
+MIXED_EDITS_COMPOSES = 25329
+
+
+def _atf_bits(a):
+    return bits(*a.ts) + b"|" + bits(*a.vs) + b"|" + cost_bits(a.cost)
+
+
+def _folds(acts):
+    """Bits of every prefix a_{0,j} as a left fold and every suffix a_{i,n}
+    with i > 0 as a right fold: the folds a fresh store of any k keeps
+    (a_{0,n} is the last prefix)."""
+    pre, cur = [], None
+    for a in acts:
+        cur = a if cur is None else compose(cur, a)
+        pre.append(_atf_bits(cur))
+    suf, cur = [], None
+    for a in reversed(acts):
+        cur = a if cur is None else compose(a, cur)
+        suf.append(_atf_bits(cur))
+    return pre, suf[::-1][1:]
+
+
+def _store_folds(st):
+    n = st.n
+    return ([_atf_bits(st.query(0, j)) for j in range(1, n + 1)],
+            [_atf_bits(st.query(i, n)) for i in range(1, n)])
 
 
 def _feasible(atfs):
@@ -291,3 +318,99 @@ class TestBuildBudget:
             st = SegmentStore(acts, k=2)
             ratios.append(st.compose_count / (n * math.log2(n)))
         assert max(ratios) <= 3.0
+
+
+class TestFoldOnly:
+    """k = 0 stores keep the prefix and suffix folds only."""
+
+    def test_seeded_edits_keep_folds_bit_equal_to_fresh_ones(self):
+        """Seeded lazy updates, insertions with updates pending, and
+        queries: every prefix and suffix is bit for bit the fresh fold, as
+        in a k = 2 store driven through the same edits."""
+        rng = np.random.default_rng(5151)
+        for _ in range(8):
+            cur = rand_chain(rng, int(rng.integers(1, 25)))
+            fold_only, leveled = SegmentStore(cur, k=0), SegmentStore(cur, k=2)
+            for _ in range(40):
+                n = len(cur)
+                cand = list(cur)
+                updates = []
+                for _ in range(int(rng.integers(0, 3))):
+                    idx = int(rng.integers(1, n + 1))
+                    cand[idx - 1] = rand_chain_action(rng, frac=idx / n)
+                    updates.append((idx, cand[idx - 1]))
+                pos = int(rng.integers(1, n + 2))
+                na = rand_chain_action(rng, frac=pos / (n + 1))
+                cand = cand[:pos - 1] + [na] + cand[pos - 1:]
+                if not _feasible(cand):
+                    continue
+                for st in (fold_only, leveled):
+                    for idx, a in updates:
+                        st.update_action(idx, a)
+                    st.insert_action(pos, na)
+                cur = cand
+                if rng.random() < 0.3:
+                    assert _store_folds(fold_only) == _folds(cur)
+            assert _store_folds(fold_only) == _folds(cur) == _store_folds(leveled)
+            assert fold_only.from_scratch
+
+    def test_insert_composes_pinned(self):
+        """An insertion behind a pending update of its predecessor (what
+        Tour.insert_single does) refreshes prefixes from the update onward
+        and suffixes below the insertion: n + 3 composes for n actions,
+        one fewer at either tour end, whose fold starts from nothing."""
+        for n in (1, 2, 5, 17):
+            for p in range(n):
+                acts = rand_chain(RNG, n)
+                st = SegmentStore(acts, k=0)
+                assert st.compose_count == 2 * (n - 1)
+                while True:
+                    na = rand_chain_action(RNG, frac=(p + 1) / n)
+                    if _feasible(acts[:p + 1] + [na] + acts[p + 1:]):
+                        break
+                st.update_action(p + 1, acts[p])
+                before = st.compose_count
+                st.insert_action(p + 2, na)
+                want = n + 3 - (p == 0) - (p == n - 1)
+                assert st.compose_count - before == want, (n, p)
+
+    def test_mid_range_queries_raise(self):
+        acts = rand_chain(RNG, 6)
+        st = SegmentStore(acts, k=0)
+        with pytest.raises(MidRangeQuery):
+            st.query(1, 5)
+        with pytest.raises(MidRangeQuery):
+            st.eval_insertion(2, 4, acts[1], acts[2], acts[3], acts[4])
+        assert same_function(st.query(0, 4), fold_compose(acts[:4]))
+        assert same_function(st.query(2, 6), fold_compose(acts[2:]))
+        assert same_function(st.eval_splice(3, 3, [acts[2]]), fold_compose(acts))
+
+    def test_failed_insert_keeps_feasible_updates_only(self):
+        """An insertion that hits EmptyDomain leaves the pending updates
+        applied when they alone are feasible and undone otherwise, as a
+        flush before the insertion would."""
+        rng = np.random.default_rng(9090)
+        outcomes = set()
+        for _ in range(200):
+            cur = rand_chain(rng, int(rng.integers(3, 15)))
+            st = SegmentStore(cur, k=0)
+            n = len(cur)
+            updated = list(cur)
+            for _ in range(int(rng.integers(1, 3))):
+                idx = int(rng.integers(1, n + 1))
+                updated[idx - 1] = rand_chain_action(rng, frac=float(rng.random()))
+                st.update_action(idx, updated[idx - 1])
+            pos = int(rng.integers(1, n + 2))
+            na = rand_chain_action(rng, frac=float(rng.random()))
+            inserted = updated[:pos - 1] + [na] + updated[pos - 1:]
+            if _feasible(inserted):
+                st.insert_action(pos, na)
+                want = inserted
+            else:
+                with pytest.raises(EmptyDomain):
+                    st.insert_action(pos, na)
+                want = updated if _feasible(updated) else cur
+                outcomes.add(want is updated)
+            assert st.n == len(want)
+            assert _store_folds(st) == _folds(want)
+        assert outcomes == {True, False}
