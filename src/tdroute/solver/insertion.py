@@ -2,8 +2,9 @@
 
 Candidate positions are screened with travel-time lower bounds and the
 tour's earliest/latest service-start arrays before any ATF is composed;
-survivors are priced exactly through the tour's segment store plus a
-rescheduling.  The window screen never discards a feasible position.
+survivors are priced exactly from the tour store's prefix and suffix
+folds plus a rescheduling.  The window screen never discards a feasible
+position.
 The cost screen (``prune``) is not a lower bound: its time term assumes
 that a detour lengthens the tour, but waiting at a later window can
 absorb the detour, so the pruned scan can return a dearer move than the
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..plf import EmptyDomain
+from ..plf import EmptyDomain, compose
 from .model import schedule_tour
 
 
@@ -37,32 +38,13 @@ def eval_single_insertion(tour, pos, stop):
     return tour.store.eval_splice(pos + 1, pos + 1, [mod, new])
 
 
-def eval_pair_insertion(tour, p, q, p_stop, d_stop):
-    """Full-tour ATF with a pickup at p and its delivery at q >= p (both in
-    original element coordinates)."""
+def eval_pair_insertion(tour, head, q, hyp):
+    """Full-tour ATF of hyp, the tour's stops with a pickup inserted and
+    its delivery at hyp[q + 1], given the head: the composed actions of
+    hyp up to the arrival at hyp[q], the stop before the delivery."""
     inst, veh, br = tour.instance, tour.vehicle, tour.brackets
-    stops = tour.stops
-    m = len(stops)
-    hyp = stops[:p] + [p_stop] + stops[p:q] + [d_stop] + stops[q:]
-    if q == p:
-        repl = [inst.action(veh, hyp, p - 1, br),
-                inst.action(veh, hyp, p, br),
-                inst.action(veh, hyp, p + 1, br)]
-        return tour.store.eval_splice(p + 1, p + 1, repl)
-    if q <= m - 1:
-        a_i = inst.action(veh, hyp, p - 1, br)
-        a_p = inst.action(veh, hyp, p, br)
-        a_j = inst.action(veh, hyp, q, br)
-        a_d = inst.action(veh, hyp, q + 1, br)
-        return tour.store.eval_insertion(p + 1, q + 1, a_i, a_p, a_j, a_d)
-    # delivery appended at the tour end: splice the whole suffix
-    repl = [inst.action(veh, hyp, p - 1, br),
-            inst.action(veh, hyp, p, br)]
-    if q > p + 1:
-        repl.append(tour.store.query(p + 1, q))
-    repl.append(inst.action(veh, hyp, q, br))
-    repl.append(inst.action(veh, hyp, q + 1, br))
-    return tour.store.eval_splice(p + 1, tour.store.n, repl)
+    return tour.store.eval_splice(1, q + 1, [head, inst.action(veh, hyp, q, br),
+                                             inst.action(veh, hyp, q + 1, br)])
 
 
 def best_insertion(instance, tour, item):
@@ -85,14 +67,19 @@ def cheapest_insertion(instance, tour, item, prune=True):
     pruning is disabled while soft-window penalties are active (a detour
     can then reduce attached costs, so bounds would not be safe).
 
+    A pickup-delivery item is priced by a sweep per pickup position p.
+    Its head composes the prefix fold before p with the action that
+    leaves for the pickup, and grows by one of the tour's own actions per
+    delivery position q; each price is the head, the two actions into and
+    out of the delivery, and the suffix fold after q.  A head that
+    composes to an empty domain ends the sweep for that p, since every
+    later q extends it.
+
     Always prices afresh.  The solver calls it through ``best_insertion``,
     which memoises the plan on the instance for the rest of the solve
     under ``Tour.price_key``: the item id plus the tour's content id,
-    interned from (vehicle, stops, brackets).  A pickup-delivery price
-    also reads mid-range store queries, whose bits depend on the block
-    layout ``insert_single`` leaves; it shares the content key only while
-    the store is laid out as a fresh build, and is keyed by the tour
-    revision otherwise.  Every hit is therefore bit for bit what this
+    interned from (vehicle, stops, brackets).  Folds and actions depend
+    on the stop list alone, so every hit is bit for bit what this
     function returns on the live tour.
     """
     stops = tour.stops
@@ -159,6 +146,11 @@ def cheapest_insertion(instance, tour, item, prune=True):
             break
         start_p_lb = max(arr_p_lb, p_stop.open)
         run_max = tour.loads[p]
+        # the sweep's head composes the actions of with_p before action h
+        # (h = -1 is START); it grows by the tour's own actions as q moves on
+        with_p = stops[:p] + [p_stop] + stops[p:]
+        head = tour.store.query(0, p) if p else None
+        h = p - 1
         for q in range(p, m + 1):
             run_max = max(run_max, tour.loads[q])
             if run_max + item.demand > veh.capacity + 1e-9:
@@ -180,7 +172,15 @@ def cheapest_insertion(instance, tour, item, prune=True):
                     + instance.lo_travel(d_stop.address, nxt_addr)) > latest_next + 1e-9:
                 continue
             try:
-                atf = eval_pair_insertion(tour, p, q, p_stop, d_stop)
+                while h < q:
+                    act = instance.action(veh, with_p, h, tour.brackets)
+                    head = act if head is None else compose(head, act)
+                    h += 1
+            except EmptyDomain:
+                break  # every later delivery position extends this head
+            try:
+                atf = eval_pair_insertion(tour, head, q,
+                                          with_p[:q + 1] + [d_stop] + with_p[q + 1:])
             except EmptyDomain:
                 continue
             sched = schedule_tour(veh, atf)

@@ -42,9 +42,9 @@ def relocate_pass(instance, solution, max_sweeps=None, deadline=None):
     which lasts the whole solve: a sweep re-prices only the tours that
     changed since the last one, and a tour rebuilt with stops priced
     before (a rejected walk move restores them) hits the memo too.  Keys
-    name the tour's content, or its revision where a price depends on the
-    store layout (see ``Tour.price_key``), so a hit is bit for bit the
-    price of the live tour.
+    name the tour's content (see ``Tour.price_key``), and a price reads
+    nothing but that content, so a hit is bit for bit the price of the
+    live tour.
     """
     any_gain = False
     sweeps = 0
@@ -117,19 +117,15 @@ def _removal_delta(tour, item):
 
 
 def eval_without_positions(tour, idxs):
-    """Tour ATF with the stops at the given positions removed (store splice)."""
+    """Tour ATF with the stops at the given positions removed: the store's
+    folds around the new stop list's actions from the one retargeted at
+    the first gap to the one retargeted at the last."""
     inst, veh = tour.instance, tour.vehicle
-    stops = tour.stops
     removed = set(idxs)
-    new_stops = [s for i, s in enumerate(stops) if i not in removed]
+    new_stops = [s for i, s in enumerate(tour.stops) if i not in removed]
     e1, e2 = min(idxs), max(idxs)
-    repl = [inst.action(veh, new_stops, e1 - 1, tour.brackets)]
-    if e2 > e1:
-        # unchanged run between the two removals, then a retargeted tail
-        if e2 > e1 + 2:
-            repl.append(tour.store.query(e1 + 2, e2))
-        if e2 > e1 + 1:
-            repl.append(inst.action(veh, new_stops, e2 - 2, tour.brackets))
+    repl = [inst.action(veh, new_stops, i, tour.brackets)
+            for i in range(e1 - 1, e2 - len(idxs) + 1)]
     return tour.store.eval_splice(e1 + 1, e2 + 2, repl)
 
 

@@ -20,7 +20,7 @@ from ..touratf import SegmentStore
 
 FAR_FUTURE = 5e8  # effectively "no deadline", yet numerically tame
 _MISSING = object()
-_PRICE_IDS = itertools.count()  # content and tour-revision ids, never reused
+_PRICE_IDS = itertools.count()  # content ids, never reused
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,6 @@ class Instance:
         self._contents = {}           # (vehicle, stops, brackets) -> content id
         self.item_by_id = {it.id: it for it in self.items}
         self.item_slot = {it.id: i for i, it in enumerate(self.items)}
-        # the levels of a tour's store: only pickup-and-delivery prices read
-        # ranges that touch neither tour end
-        self.store_k = 0 if all(it.depot_pickup for it in self.items) else 2
 
     def arc(self, p, q):
         return self.matrix[p][q]
@@ -266,7 +263,7 @@ class Tour:
         inst, veh = self.instance, self.vehicle
         actions = [inst.action(veh, self.stops, idx, self.brackets)
                    for idx in range(-1, len(self.stops))]
-        store = SegmentStore(actions, k=inst.store_k)
+        store = SegmentStore(actions, k=0)
         schedule = schedule_tour(veh, store.full_atf())
         if schedule is None:
             raise EmptyDomain(f"tour of vehicle {veh.id} is infeasible")
@@ -276,10 +273,9 @@ class Tour:
         self._new_revision()
 
     def _new_revision(self):
-        """Forget the ids that named the previous stop list and store in
-        the price memo; ``price_key`` assigns new ones on first use."""
+        """Forget the id that named the previous stop list in the price
+        memo; ``price_key`` looks the new one up on first use."""
         self._content_id = None
-        self._revision_id = None
 
     def _refresh_aux(self):
         """Earliest/latest service starts and running loads, for pruning."""
@@ -326,28 +322,17 @@ class Tour:
         removing it when the tour serves it (one or the other, so a key
         names one price).
 
-        Prices of depot-pickup items read the store's prefix and suffix
-        folds only, and those depend on the stop list alone: such a key
-        names the tour's content.  The rest applies only to tours of
-        instances with pickup-delivery items, whose stores keep block
-        levels (a fold-only store always reads ``from_scratch``).
-        Pickup-delivery prices also read mid-range queries, whose bits
-        depend on the block layout; they share the content key while the
-        store is laid out as a fresh build would be, and are keyed by this
-        tour revision otherwise.
+        The key names the tour's content.  Every price reads only the
+        store's prefix and suffix folds and memoised actions, which depend
+        on the stop list alone, so tours with equal content price alike
+        bit for bit, however their stores were grown.
         """
         inst = self.instance
-        if item.depot_pickup or self.store.from_scratch:
-            if self._content_id is None:
-                self._content_id = inst.content_id(self.vehicle, self.stops, self.brackets)
-            tour_id = self._content_id
-        else:
-            if self._revision_id is None:
-                self._revision_id = next(_PRICE_IDS)
-            tour_id = self._revision_id
+        if self._content_id is None:
+            self._content_id = inst.content_id(self.vehicle, self.stops, self.brackets)
         # one int per (tour id, item): a key tuple would take more memory
         # than many of the prices it keys
-        return tour_id * len(inst.items) + inst.item_slot[item.id]
+        return self._content_id * len(inst.items) + inst.item_slot[item.id]
 
     @property
     def cost(self):

@@ -12,6 +12,10 @@ that splices at one position read, and raises ``MidRangeQuery`` for any
 other range.  An insertion then costs one refresh of the folds instead
 of a block tree and a periodic re-layout: n + 3 composes for n actions
 when the only pending update is the action before it, as a tour makes.
+Every solver tour keeps such a store, since its prices read folds only.
+The levels (k >= 1) and ``eval_insertion`` remain the paper's data
+structure for mid-range queries, held to its compose budgets by the
+tests and exercised by the benchmark's kernels.
 
 Action boundaries run 0..n; a_{i,j} composes actions i+1..j.  Every
 compose performed on behalf of the store goes through one instrumented
@@ -247,13 +251,6 @@ class SegmentStore(_Level):
     def _set_layout(self, layout):
         self._single, self._blocks, self._top, self._pre, self._suf = layout
         self._pending.clear()
-        # True while the block layout is the one SegmentStore(actions)
-        # builds.  Prefix and suffix folds depend on the actions alone;
-        # mid-range queries also depend on the layout, which insert_action
-        # changes until the next rebuild.  Updates recompute exactly, so
-        # they keep it, and a k = 0 store, which has no layout, always
-        # reads True.
-        self.from_scratch = True
 
     def flush(self):
         """Apply pending lazy updates now.  If a composition fails, the
@@ -397,7 +394,6 @@ class SegmentStore(_Level):
                 later[0] += 1
             self._top.update_action(bi + 1, bst.full())
             self._pre, self._suf = pre, suf
-        self.from_scratch = False
 
     def _insert_into_folds(self, pos, new):
         """insert_action on a k = 0 store.  The pending updates and the

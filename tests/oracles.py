@@ -13,9 +13,11 @@ import inspect
 import struct
 import textwrap
 
-from tdroute.plf import EPS_T, Atf, StepCost, ZERO_COST, compose
+from tdroute.plf import EPS_T, Atf, EmptyDomain, StepCost, ZERO_COST, compose
 from tdroute.plf.envelope import PiecewiseLinear
 from tdroute.scheduler import ScheduleResult, ZERO_MODEL, _wt_integral, total_cost
+from tdroute.solver.model import build_actions, schedule_tour
+from tdroute.touratf import SegmentStore
 
 
 def rand_atf(rng, b_max=8, t0=0.0, span=10.0, flat_prob=0.3, dur_max=3.0):
@@ -372,3 +374,88 @@ def mutant(fn, old, new):
     namespace = dict(fn.__globals__)
     exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
     return namespace[fn.__name__]
+
+
+def pair_insertion_reference(tour, store, p, q, p_stop, d_stop):
+    """Full-tour ATF with a pickup at p and its delivery at q >= p, by the
+    three branches the solver used before its fold sweep, over a store
+    with block levels (k = 2): q == p splices three actions, an inner q
+    reads a mid-range query through ``eval_insertion``, and q == m
+    splices the whole suffix."""
+    inst, veh, br = tour.instance, tour.vehicle, tour.brackets
+    stops = tour.stops
+    m = len(stops)
+    hyp = stops[:p] + [p_stop] + stops[p:q] + [d_stop] + stops[q:]
+    if q == p:
+        repl = [inst.action(veh, hyp, p - 1, br),
+                inst.action(veh, hyp, p, br),
+                inst.action(veh, hyp, p + 1, br)]
+        return store.eval_splice(p + 1, p + 1, repl)
+    if q <= m - 1:
+        a_i = inst.action(veh, hyp, p - 1, br)
+        a_p = inst.action(veh, hyp, p, br)
+        a_j = inst.action(veh, hyp, q, br)
+        a_d = inst.action(veh, hyp, q + 1, br)
+        return store.eval_insertion(p + 1, q + 1, a_i, a_p, a_j, a_d)
+    repl = [inst.action(veh, hyp, p - 1, br),
+            inst.action(veh, hyp, p, br)]
+    if q > p + 1:
+        repl.append(store.query(p + 1, q))
+    repl.append(inst.action(veh, hyp, q, br))
+    repl.append(inst.action(veh, hyp, q + 1, br))
+    return store.eval_splice(p + 1, store.n, repl)
+
+
+def pair_prices_reference(tour, item):
+    """{(p, q): cost delta} over every feasible pickup-delivery position
+    pair that survives the solver's capacity and window screens, each
+    priced by ``pair_insertion_reference`` over a fresh k = 2 store of the
+    tour's actions.  The screens never discard a feasible pair."""
+    inst, veh = tour.instance, tour.vehicle
+    stops = tour.stops
+    m = len(stops)
+    store = SegmentStore(build_actions(inst, veh, stops, tour.brackets), k=2)
+    p_stop, d_stop = item.stops()
+
+    def lo(a, b):
+        return inst.lo_travel(a, b)
+
+    prices = {}
+    for p in range(m + 1):
+        if p == 0:
+            prev_addr, depart_lb = veh.start_address, veh.avail_lo
+        else:
+            prev_addr = stops[p - 1].address
+            depart_lb = tour.eat[p - 1] + stops[p - 1].duration
+        arr_p_lb = depart_lb + lo(prev_addr, p_stop.address)
+        if arr_p_lb > p_stop.close + 1e-9:
+            break
+        start_p_lb = max(arr_p_lb, p_stop.open)
+        run_max = tour.loads[p]
+        for q in range(p, m + 1):
+            run_max = max(run_max, tour.loads[q])
+            if run_max + item.demand > veh.capacity + 1e-9:
+                break
+            if q == p:
+                dep_d_lb = start_p_lb + p_stop.duration
+                prev_d_addr = p_stop.address
+            else:
+                dep_d_lb = max(start_p_lb + p_stop.duration + lo(p_stop.address, stops[p].address),
+                               tour.eat[q - 1] + stops[q - 1].duration)
+                prev_d_addr = stops[q - 1].address
+            arr_d_lb = dep_d_lb + lo(prev_d_addr, d_stop.address)
+            if arr_d_lb > d_stop.close + 1e-9:
+                break
+            nxt_addr, latest_next = ((veh.end_address, tour.lst[m]) if q == m
+                                     else (stops[q].address, tour.lst[q]))
+            if (max(arr_d_lb, d_stop.open) + d_stop.duration
+                    + lo(d_stop.address, nxt_addr)) > latest_next + 1e-9:
+                continue
+            try:
+                atf = pair_insertion_reference(tour, store, p, q, p_stop, d_stop)
+            except EmptyDomain:
+                continue
+            sched = schedule_tour(veh, atf)
+            if sched is not None:
+                prices[p, q] = sched.total_cost - tour.schedule.total_cost
+    return prices

@@ -15,9 +15,10 @@ from tdroute.solver import (Infeasible, Instance, Item, SolverConfig, Solution,
                             relocate_pass, select_seeds, solve,
                             validate)
 from tdroute.scheduler import CostModel
-from tdroute.solver import engine
+from tdroute.solver import engine, insertion, localsearch
 from tdroute.solver.insertion import best_insertion
-from tdroute.solver.model import build_action
+from tdroute.solver.model import build_action, schedule_tour
+from oracles import mutant, pair_prices_reference
 
 RNG = np.random.default_rng(1337)
 
@@ -168,28 +169,24 @@ class TestCheapestInsertion:
 
 
 def _answerable_ranges(store):
-    """Every range the store answers: all of them with block levels, those
-    touching a tour end on a fold-only (k = 0) store."""
+    """Every range a tour's fold-only store answers: those touching a
+    tour end."""
     n = store.n
     return [(i, j) for i in range(n) for j in range(i + 1, n + 1)
-            if store.k or i == 0 or j == n]
+            if i == 0 or j == n]
 
 
 class TestInsertSingle:
     def test_failed_insert_leaves_a_fresh_tour(self):
         """Random single-stop inserts into a long tour: after each one that
         raises EmptyDomain the tour equals a fresh Tour over its old stops,
-        down to every range the store can answer.  The instance has
-        depot-pickup items only, so its tours keep fold-only stores."""
+        down to every range the store can answer."""
         inst = grid_instance(24, seed=70, n_vehicles=2, capacity=1000.0)
-        assert inst.store_k == 0
         self._check_failed_inserts(inst, rounds=60)
 
     def test_failed_insert_leaves_a_fresh_tour_mixed(self):
-        """The same on an instance with pickup-and-delivery items, whose
-        tours keep k = 2 stores: mid-range queries are compared too."""
+        """The same on an instance with pickup-and-delivery items."""
         inst = _mixed_td_instance(16, 70)
-        assert inst.store_k == 2
         self._check_failed_inserts(inst, rounds=30)
 
     @staticmethod
@@ -504,11 +501,11 @@ def _audit_memo(monkeypatch):
 
     First regret construction, relocation and a walk, without and then
     with brackets, on instances whose memo is never emptied in between.
-    Then a tour grown by insert_single next to a fresh build of its stops,
-    with every pickup-delivery item priced on both: the grown store's
-    block layout gives this instance's item 20 a delta a few ulps away
-    from the fresh store's.  Returns the hits of depot-pickup and of
-    pickup-delivery items, and the keys whose hit was wrong.
+    Then a tour grown by insert_single and a fresh build of its stops,
+    which share a content key, must price every pickup-delivery item bit
+    for bit alike: prices read only what the stop list determines.
+    Returns the hits of depot-pickup and of pickup-delivery items, and the
+    keys whose hit was wrong.
     """
     real = Instance.price
     hits = {True: 0, False: 0}
@@ -538,12 +535,18 @@ def _audit_memo(monkeypatch):
             plan = best_insertion(inst, grown, item)
             if plan is not None:
                 apply_insertion(grown, item, plan)
-    assert not grown.store.from_scratch
     fresh = Tour(inst, grown.vehicle, grown.stops)
-    for tour in (grown, fresh):
-        for item in inst.items:
-            if not item.depot_pickup:
-                best_insertion(inst, tour, item)
+    assert grown.price_key(inst.items[0]) == fresh.price_key(inst.items[0])
+    for item in inst.items:
+        if not item.depot_pickup:
+            prices = []
+            for tour in (grown, fresh):
+                try:
+                    prices.append(cheapest_insertion(inst, tour, item))
+                except Infeasible:
+                    prices.append(None)
+            if not _same_price(*prices):
+                wrong.append(fresh.price_key(item))
     return hits, wrong
 
 
@@ -574,20 +577,148 @@ class TestPriceMemo:
         assert hits[True] > 0 and hits[False] > 0
         assert wrong == []
 
-    @pytest.mark.parametrize("mutant", ["brackets", "provenance"])
+    @pytest.mark.parametrize("mutant", ["brackets"])
     def test_audit_catches_an_unsound_key(self, monkeypatch, mutant):
-        if mutant == "brackets":
-            # content ids interned without the brackets
-            real = Instance.content_id
-            monkeypatch.setattr(Instance, "content_id",
-                                lambda self, vehicle, stops, _: real(self, vehicle, stops, ()))
-        else:
-            # pickup-delivery prices keyed by content whatever the layout
-            def key(tour, item):
-                inst = tour.instance
-                cid = inst.content_id(tour.vehicle, tour.stops, tour.brackets)
-                return cid * len(inst.items) + inst.item_slot[item.id]
-
-            monkeypatch.setattr(Tour, "price_key", key)
+        # content ids interned without the brackets
+        real = Instance.content_id
+        monkeypatch.setattr(Instance, "content_id",
+                            lambda self, vehicle, stops, _: real(self, vehicle, stops, ()))
         _, wrong = _audit_memo(monkeypatch)
         assert wrong
+
+
+def _pd_pricing_cases(sizes_seeds):
+    """(tour, item) for every pickup-delivery item outside a tour: the
+    tours of regret solves of mixed instances, without and with brackets,
+    plus the sub-tours that keep the first 2/3 and 1/3 of their items."""
+    cases = []
+    for n, seed in sizes_seeds:
+        inst = _mixed_td_instance(n, seed)
+        for brackets in ((), SOFT):
+            sol = regret_construct(inst, random.Random(seed), brackets=brackets)
+            for tour in sol.tours:
+                ids = tour.item_ids
+                tours = [tour]
+                for keep in (2 * len(ids) // 3, len(ids) // 3):
+                    stops = [s for s in tour.stops if s.item_id in ids[:keep]]
+                    try:
+                        tours.append(Tour(inst, tour.vehicle, stops, brackets))
+                    except EmptyDomain:
+                        pass
+                cases += [(t, item) for t in tours for item in inst.items
+                          if not item.depot_pickup and item.id not in t.item_ids]
+    return cases
+
+
+def _sweep_disagreements(cases, price=cheapest_insertion):
+    """The cases where ``price`` disagrees with the three-branch reference
+    over a k = 2 store: in feasibility, by more than 1e-9 in the delta, or
+    in a position that is not a tie within 1e-9 at the reference."""
+    bad = []
+    for tour, item in cases:
+        ref = pair_prices_reference(tour, item)
+        try:
+            plan = price(tour.instance, tour, item)
+        except Infeasible:
+            plan = None
+        if plan is None or not ref:
+            if plan is not None or ref:
+                bad.append((tour.stops, item.id, plan, ref))
+            continue
+        best = min(ref.values())
+        pos = (plan.pickup_pos, plan.delivery_pos)
+        if (abs(plan.delta_cost - best) > 1e-9 or pos not in ref
+                or ref[pos] - best > 1e-9):
+            bad.append((tour.stops, item.id, plan, best))
+    return bad
+
+
+class TestPairSweep:
+    """Pickup-delivery prices from the fold sweep equal the three-branch
+    prices over a k = 2 store."""
+
+    def test_sweep_matches_the_k2_reference(self):
+        cases = _pd_pricing_cases([(24, s) for s in (11, 12, 13, 14, 15)])
+        assert len(cases) >= 1000
+        assert _sweep_disagreements(cases) == []
+
+    def test_a_head_that_never_grows_fails(self):
+        stuck = mutant(cheapest_insertion,
+                       "head = act if head is None else compose(head, act)",
+                       "head = act if head is None else head")
+        cases = _pd_pricing_cases([(16, 11)])
+        assert _sweep_disagreements(cases, stuck)
+
+
+def _validated_cost(inst, tour):
+    """The tour's schedule cost as ``validate`` recomputes it."""
+    others = {it.id for it in inst.items} - set(tour.item_ids)
+    rep = validate(Solution(inst, [tour], others), inst)
+    assert rep.feasible, str(rep)
+    return (rep.computed_cost - tour.vehicle.fixed_cost
+            - sum(inst.item_by_id[i].penalty for i in others))
+
+
+class TestFromScratch:
+    """Every price a solve makes equals a rebuild from scratch."""
+
+    @pytest.mark.parametrize("brackets", [(), SOFT], ids=["hard", "soft"])
+    def test_priced_moves_equal_rebuilt_tours(self, monkeypatch, brackets):
+        """Each priced single insertion, pair insertion and removal of a
+        mixed solve: its delta equals the cost of a Tour built over the new
+        stop list minus the tour's, and the same difference of the costs
+        validate() recomputes, within 1e-6; infeasible prices are
+        infeasible rebuilds."""
+        priced = []   # (vehicle, old stops, old cost, new stops, delta or None)
+
+        def record(tour, new_stops, atf):
+            sched = None if atf is None else schedule_tour(tour.vehicle, atf)
+            priced.append((tour.vehicle, list(tour.stops), tour.schedule.total_cost,
+                           new_stops, None if sched is None else
+                           sched.total_cost - tour.schedule.total_cost))
+
+        def recording(fn, new_stops_of):
+            def wrapped(tour, *args):
+                try:
+                    atf = fn(tour, *args)
+                except EmptyDomain:
+                    record(tour, new_stops_of(tour, *args), None)
+                    raise
+                record(tour, new_stops_of(tour, *args), atf)
+                return atf
+            return wrapped
+
+        monkeypatch.setattr(insertion, "eval_single_insertion", recording(
+            insertion.eval_single_insertion,
+            lambda tour, pos, stop: tour.stops[:pos] + [stop] + tour.stops[pos:]))
+        monkeypatch.setattr(insertion, "eval_pair_insertion", recording(
+            insertion.eval_pair_insertion, lambda tour, head, q, hyp: hyp))
+        real_removal = localsearch._removal_delta
+
+        def removal(tour, item):
+            delta = real_removal(tour, item)
+            new_stops = [s for s in tour.stops if s.item_id != item.id]
+            if new_stops:
+                priced.append((tour.vehicle, list(tour.stops), tour.schedule.total_cost,
+                               new_stops, delta))
+            return delta
+
+        monkeypatch.setattr(localsearch, "_removal_delta", removal)
+        inst = _mixed_td_instance(10, 7)
+        solve(inst, SolverConfig(seed=2, iterations=4, soft_brackets=brackets))
+
+        checked = {1: 0, 2: 0, -1: 0, -2: 0}
+        for veh, old, old_cost, new, delta in priced:
+            try:
+                fresh = Tour(inst, veh, new, brackets)
+            except EmptyDomain:
+                assert delta is None
+                continue
+            assert delta is not None
+            assert delta == pytest.approx(fresh.schedule.total_cost - old_cost, abs=1e-6)
+            # validate() skips an empty tour; its cost is the bare depot round trip
+            base = _validated_cost(inst, Tour(inst, veh, old, brackets)) if old else old_cost
+            assert delta == pytest.approx(_validated_cost(inst, fresh) - base, abs=1e-6)
+            checked[len(new) - len(old)] += 1
+        # feasible one-stop and two-stop insertions and removals
+        assert min(checked.values()) >= 20, checked

@@ -352,7 +352,6 @@ class TestFoldOnly:
                 if rng.random() < 0.3:
                     assert _store_folds(fold_only) == _folds(cur)
             assert _store_folds(fold_only) == _folds(cur) == _store_folds(leveled)
-            assert fold_only.from_scratch
 
     def test_insert_composes_pinned(self):
         """An insertion behind a pending update of its predecessor (what
