@@ -299,8 +299,8 @@ def make_planted_instance(n_customers=100, seed=0, n_routes=10,
     horizon_hi = max(w[1] for w in windows.values()) + 200.0
     capacity = math.ceil(max(route_loads)) + 1
     n = n_customers + 1
-    matrix = [[Atf.constant_travel(dist(p, q), -1.0, horizon_hi + 4 * 86400.0,
-                                   cost=StepCost(dist(p, q)))
+    matrix = [[Atf.constant_travel(d := dist(p, q), -1.0, horizon_hi + 4 * 86400.0,
+                                   cost=StepCost(d))
                for q in range(n)] for p in range(n)]
     items = []
     for c in range(1, n):

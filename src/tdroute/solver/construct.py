@@ -165,9 +165,11 @@ def select_next_by_regret(instance, solution, pool, nt_cache=None):
     for item in sorted(pool, key=lambda it: it.id):
         plans = [(t, best_insertion(instance, t, item)) for t in solution.tours]
         if free:
-            if item.id not in nt_cache:
-                nt_cache[item.id] = new_tour_cost(instance, free[0], item)
-            nt_cost, nt_plan = nt_cache[item.id]
+            # keyed by vehicle too: the first free vehicle changes as tours open
+            key = (free[0].id, item.id)
+            if key not in nt_cache:
+                nt_cache[key] = new_tour_cost(instance, free[0], item)
+            nt_cost, nt_plan = nt_cache[key]
         else:
             nt_cost, nt_plan = None, None
         sentinel = nt_cost if nt_cost is not None else NO_VEHICLE_COST

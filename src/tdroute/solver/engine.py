@@ -43,23 +43,16 @@ def _solve(instance, config):
     brackets = tuple(config.soft_brackets)
     deadline = (None if config.time_limit is None
                 else time.monotonic() + config.time_limit)
-
-    def remaining():
-        if deadline is None:
-            return None
-        return max(0.0, deadline - time.monotonic())
-
     rng = random.Random(10007 * config.seed + 13)
     sol = regret_construct(
         instance, rng, brackets=brackets,
         improve_hook=lambda s: relocate_pass(instance, s, deadline=deadline))
     relocate_pass(instance, sol, deadline=deadline)
     if budget > 0:
-        sol = random_walk(instance, sol, rng, budget, brackets,
-                          time_limit=remaining())
-        if remaining() is None or remaining() > 0:
+        sol = random_walk(instance, sol, rng, budget, brackets, deadline=deadline)
+        if deadline is None or time.monotonic() < deadline:
             rng = random.Random(20011 * config.seed + 41)
             sol = random_walk(instance, sol, rng, max(1, budget // 2),
-                              brackets, time_limit=remaining())
+                              brackets, deadline=deadline)
     sol.drop_empty_tours()
     return sol

@@ -63,9 +63,11 @@ def cheapest_insertion(instance, tour, item, prune=True):
     """Best insertion positions and exact cost delta, or raise Infeasible.
 
     Uses travel-time lower bounds and the tour's earliest/latest service
-    windows to discard positions before composing anything; cost-based
-    pruning is disabled while soft-window penalties are active (a detour
-    can then reduce attached costs, so bounds would not be safe).
+    windows to discard positions before composing anything.  With
+    ``prune`` and no soft-window brackets, a depot-pickup item's
+    positions are also screened by a cost estimate, which is not a lower
+    bound (see the module docstring): the pruned scan can return a
+    dearer move than ``prune=False``.
 
     A pickup-delivery item is priced by a sweep per pickup position p.
     Its head composes the prefix fold before p with the action that

@@ -129,10 +129,11 @@ def eval_without_positions(tour, idxs):
     return tour.store.eval_splice(e1 + 1, e2 + 2, repl)
 
 
-def random_walk(instance, solution, rng, budget, brackets=(), time_limit=None):
+def random_walk(instance, solution, rng, budget, brackets=(), deadline=None):
     """Ruin-and-recreate: alternately tear out a random run or dissolve a
-    whole tour, reinsert by regret, keep the result iff it is not worse."""
-    deadline = time.monotonic() + time_limit if time_limit is not None else None
+    whole tour, reinsert by regret, keep the result iff it is not worse.
+    Stops early once ``time.monotonic()`` reaches the deadline, checked
+    between moves."""
     incumbent = solution.clone_state()
     incumbent_cost = solution.total_cost
     for it in range(budget):

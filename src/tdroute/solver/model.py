@@ -253,28 +253,28 @@ class Tour:
         self.uid = Tour._uid
         self.instance = instance
         self.vehicle = vehicle
-        self.stops = list(stops)
         self.brackets = tuple(brackets)
-        self._rebuild()
+        self.store = None
+        self._take_stops(stops)
 
     # -- derived state ----------------------------------------------------
 
-    def _rebuild(self):
+    def _take_stops(self, stops):
+        """The body of ``set_stops``.  ``__init__`` calls it directly, so
+        that a wrapper of ``set_stops`` sees edits only; a new tour builds
+        its store, an edited one refolds its old store."""
+        stops = list(stops)
         inst, veh = self.instance, self.vehicle
-        actions = [inst.action(veh, self.stops, idx, self.brackets)
-                   for idx in range(-1, len(self.stops))]
-        store = SegmentStore(actions, k=0)
+        actions = [inst.action(veh, stops, idx, self.brackets)
+                   for idx in range(-1, len(stops))]
+        store = (SegmentStore(actions, k=0) if self.store is None
+                 else self.store.refolded(actions))
         schedule = schedule_tour(veh, store.full_atf())
         if schedule is None:
             raise EmptyDomain(f"tour of vehicle {veh.id} is infeasible")
-        self.store = store
-        self.schedule = schedule
+        self.stops, self.store, self.schedule = stops, store, schedule
         self._refresh_aux()
-        self._new_revision()
-
-    def _new_revision(self):
-        """Forget the id that named the previous stop list in the price
-        memo; ``price_key`` looks the new one up on first use."""
+        # price_key looks the new stop list's content id up on first use
         self._content_id = None
 
     def _refresh_aux(self):
@@ -351,39 +351,18 @@ class Tour:
     # -- mutation -----------------------------------------------------------
 
     def set_stops(self, stops):
-        old = self.stops
-        self.stops = list(stops)
-        try:
-            self._rebuild()
-        except EmptyDomain:
-            self.stops = old
-            raise
+        """Serve the given stop list: the only way a tour changes.
+
+        The store is refolded over the new actions, recomposing only the
+        folds that span a changed action, and the tour takes the new
+        stops, store and schedule together once the schedule exists.  All
+        or nothing: on EmptyDomain the tour is left as it was.
+        """
+        self._take_stops(stops)
 
     def insert_single(self, position, stop):
-        """Insert one stop; the store absorbs it with incremental updates.
-
-        All or nothing: on EmptyDomain the tour is rebuilt over its old
-        stops before the exception propagates.
-        """
-        inst, veh = self.instance, self.vehicle
-        old = self.stops
-        new_stops = old[:position] + [stop] + old[position:]
-        mod = inst.action(veh, new_stops, position - 1, self.brackets)
-        new_act = inst.action(veh, new_stops, position, self.brackets)
-        self.stops = new_stops
-        try:
-            self.store.update_action(position + 1, mod)
-            self.store.insert_action(position + 2, new_act)
-            sched = schedule_tour(veh, self.store.full_atf())
-            if sched is None:
-                raise EmptyDomain("insertion broke the schedule")
-        except EmptyDomain:
-            self.stops = old
-            self._rebuild()
-            raise
-        self.schedule = sched
-        self._refresh_aux()
-        self._new_revision()
+        """Insert one stop before the stop now at position."""
+        self.set_stops(self.stops[:position] + [stop] + self.stops[position:])
 
 
 class Solution:

@@ -9,13 +9,14 @@ insertions and splices can be priced without mutating anything.
 A store with k = 0 keeps only the folds: the prefixes a_{0,j} and the
 suffixes a_{i,n}.  It answers ranges that touch a tour end, which is all
 that splices at one position read, and raises ``MidRangeQuery`` for any
-other range.  An insertion then costs one refresh of the folds instead
-of a block tree and a periodic re-layout: n + 3 composes for n actions
-when the only pending update is the action before it, as a tour makes.
-Every solver tour keeps such a store, since its prices read folds only.
-The levels (k >= 1) and ``eval_insertion`` remain the paper's data
-structure for mid-range queries, held to its compose budgets by the
-tests and exercised by the benchmark's kernels.
+other range.  Every solver tour keeps such a store, since its prices
+read folds only.  A tour's edit is ``refolded``: a new store that shares
+the prefixes before the first action that changed and the suffixes
+after the last one, and recomputes only the folds between; n + 3
+composes for a one-stop insertion into n actions.  The levels (k >= 1)
+and ``eval_insertion`` remain the paper's data structure for mid-range
+queries, held to its compose budgets by the tests and exercised by the
+benchmark's kernels.
 
 Action boundaries run 0..n; a_{i,j} composes actions i+1..j.  Every
 compose performed on behalf of the store goes through one instrumented
@@ -62,6 +63,16 @@ def _refresh_ends(c, atfs, pre, suf, lo, hi):
         pre[j] = c(pre[j - 1], atfs[j - 1])
     for i in range(hi - 1, -1, -1):
         suf[i] = c(atfs[i], suf[i + 1])
+
+
+def _same_run(xs, ys):
+    """How many leading items of xs and ys are the same objects."""
+    run = 0
+    for x, y in zip(xs, ys):
+        if x is not y:
+            break
+        run += 1
+    return run
 
 
 class _Bst(_Level):
@@ -358,18 +369,16 @@ class SegmentStore(_Level):
     def insert_action(self, pos, new):
         """Insert a new action so it becomes action number pos (1-based).
         Every ``ceil(log2(n + 1))`` insertions a store with levels is
-        rebuilt from scratch.  On ``EmptyDomain`` nothing is inserted, and
-        pending updates stay applied exactly when they alone are
-        feasible, as if ``flush`` had run first."""
+        rebuilt from scratch, a k = 0 store on every insertion.  On
+        ``EmptyDomain`` nothing is inserted, and pending updates stay
+        applied exactly when they alone are feasible, as if ``flush`` had
+        run first."""
         if not (1 <= pos <= self.n + 1):
             raise IndexOutOfRange(str(pos))
-        if self.k == 0:
-            self._insert_into_folds(pos, new)
-            return
         self.flush()
         actions = self._actions[:pos - 1] + [new] + self._actions[pos - 1:]
         n = len(actions)
-        if self._struct_ops + 1 >= max(1, math.ceil(math.log2(n + 1))):
+        if not self.k or self._struct_ops + 1 >= max(1, math.ceil(math.log2(n + 1))):
             layout = self._layout(actions)
             self._actions = actions
             self._struct_ops = 0
@@ -395,23 +404,26 @@ class SegmentStore(_Level):
             self._top.update_action(bi + 1, bst.full())
             self._pre, self._suf = pre, suf
 
-    def _insert_into_folds(self, pos, new):
-        """insert_action on a k = 0 store.  The pending updates and the
-        insertion share one refresh: prefixes from the first changed
-        action onward, suffixes below the last one."""
-        actions = self._actions[:pos - 1] + [new] + self._actions[pos - 1:]
-        changed = [idx + (idx >= pos) for idx in self._pending]
-        lo = min(changed + [pos])
-        hi = max(changed + [pos])
-        pre = self._pre[:lo] + [None] * (len(actions) + 1 - lo)
-        suf = [None] * hi + self._suf[hi - 1:]
-        try:
-            _refresh_ends(self._c, actions, pre, suf, lo, hi)
-        except EmptyDomain:
-            self.flush()  # undoes the updates and raises if they alone fail
-            raise
-        self._actions, self._pre, self._suf = actions, pre, suf
-        self._pending.clear()
+    def refolded(self, actions):
+        """A k = 0 store over a new action list, self left as it was.
+
+        Prefixes up to the first action that is not the same object as
+        before, and suffixes after the last such action, are shared with
+        self; only the folds between are composed, so the result is bit
+        for bit a fresh store's.  ``EmptyDomain`` propagates."""
+        if self.k:
+            raise ValueError("only a k = 0 store is refolded")
+        self.flush()
+        old, actions = self._actions, list(actions)
+        n, m = len(old), len(actions)
+        lo = _same_run(old, actions)
+        tail = _same_run(reversed(old), reversed(actions))
+        pre = self._pre[:lo + 1] + [None] * (m - lo)
+        suf = [None] * (m - tail) + self._suf[n - tail:]
+        _refresh_ends(self._c, actions, pre, suf, lo + 1, m - tail)
+        new = copy.copy(self)
+        new._actions, new._pre, new._suf, new._pending = actions, pre, suf, {}
+        return new
 
     # -- hypothetical evaluations -------------------------------------------
 

@@ -459,3 +459,17 @@ def pair_prices_reference(tour, item):
             if sched is not None:
                 prices[p, q] = sched.total_cost - tour.schedule.total_cost
     return prices
+
+
+def set_stops_reference(tour, stops):
+    """``Tour.set_stops`` from scratch: every action built afresh, a new
+    fold-only store over them, and the tour's derived state recomputed;
+    on EmptyDomain the tour is left as it was."""
+    inst, veh = tour.instance, tour.vehicle
+    store = SegmentStore(build_actions(inst, veh, stops, tour.brackets), k=0)
+    schedule = schedule_tour(veh, store.full_atf())
+    if schedule is None:
+        raise EmptyDomain(f"tour of vehicle {veh.id} is infeasible")
+    tour.stops, tour.store, tour.schedule = list(stops), store, schedule
+    tour._refresh_aux()
+    tour._content_id = None

@@ -1,8 +1,11 @@
 """Solver: validation, insertion pricing, seeds, regret, moves, determinism."""
 
+import collections
 import dataclasses
 import random
 import struct
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,9 +19,10 @@ from tdroute.solver import (Infeasible, Instance, Item, SolverConfig, Solution,
                             validate)
 from tdroute.scheduler import CostModel
 from tdroute.solver import engine, insertion, localsearch
-from tdroute.solver.insertion import best_insertion
+from tdroute.solver.insertion import InsertionPlan, best_insertion
 from tdroute.solver.model import build_action, schedule_tour
-from oracles import mutant, pair_prices_reference
+from oracles import (bits, cost_bits, mutant, pair_prices_reference,
+                     set_stops_reference)
 
 RNG = np.random.default_rng(1337)
 
@@ -258,6 +262,32 @@ class TestRegretConstruct:
             sol = regret_construct(inst, random.Random(seed))
             assert validate(sol, inst).feasible
 
+    def test_new_tour_priced_on_the_vehicle_it_opens(self):
+        """Depot 0 and customers 1-3, 10 s from the depot and 1 s apart;
+        every vehicle carries one item, and vehicle 2's day ends at 15 s,
+        before any round trip (25 s) is done.  Once vehicles 0 and 1 have
+        a tour, item 3's new-tour price must be vehicle 2's, which is
+        none: the item stays unserved instead of opening a tour priced
+        for vehicle 1."""
+        def travel(p, q):
+            return 0.0 if p == q else 10.0 if 0 in (p, q) else 1.0
+
+        matrix = [[Atf.constant_travel(travel(p, q), -10.0, 4000.0,
+                                       cost=StepCost(travel(p, q)))
+                   for q in range(4)] for p in range(4)]
+        items = [Item(id=i, pickup_address=0, pickup_open=0.0, pickup_close=100.0,
+                      pickup_duration=0.0, delivery_address=i, delivery_open=0.0,
+                      delivery_close=100.0, delivery_duration=5.0, demand=1.0,
+                      depot_pickup=True) for i in (1, 2, 3)]
+        vehicles = [Vehicle(id=v, start_address=0, end_address=0, avail_lo=0.0,
+                            avail_hi=hi, fixed_cost=100.0, capacity=1.0)
+                    for v, hi in ((0, 1000.0), (1, 1000.0), (2, 15.0))]
+        inst = Instance("three", matrix, items, vehicles)
+        sol = solve(inst, SolverConfig(seed=0, iterations=0))
+        assert sorted(i for t in sol.tours for i in t.item_ids) == [1, 2]
+        assert sol.unserved == {3}
+        assert validate(sol, inst).feasible
+
     def test_symmetric_assignment_under_capacity(self):
         # two identical items, capacity forces one per tour
         due = 2000.0
@@ -336,7 +366,7 @@ class TestRandomWalk:
         inst = grid_instance(25, seed=51)
         sol = regret_construct(inst, random.Random(0))
         state, cost = sol.clone_state(), sol.total_cost
-        out = random_walk(inst, sol, random.Random(1), 50, time_limit=0.0)
+        out = random_walk(inst, sol, random.Random(1), 50, deadline=time.monotonic())
         assert out.clone_state() == state
         assert out.total_cost == cost
 
@@ -722,3 +752,98 @@ class TestFromScratch:
             checked[len(new) - len(old)] += 1
         # feasible one-stop and two-stop insertions and removals
         assert min(checked.values()) >= 20, checked
+
+
+def _tour_state(tour):
+    """Bytes of everything a tour derives from its stop list: every
+    prefix and suffix fold, the schedule, eat, lst and loads."""
+    st = tour.store
+    n = st.n
+    folds = ([st.query(0, j) for j in range(1, n + 1)]
+             + [st.query(i, n) for i in range(n)])
+    return (tuple(tour.stops),
+            [bits(*a.ts) + bits(*a.vs) + cost_bits(a.cost) for a in folds],
+            bits(*dataclasses.astuple(tour.schedule)), bits(*tour.eat),
+            bits(*tour.lst), bits(*tour.loads, tour.max_load))
+
+
+class TestTourEdits:
+    """``Tour.set_stops`` refolds its store over the changed actions only,
+    and reads as a tour built afresh."""
+
+    @pytest.mark.parametrize("brackets", [(), SOFT], ids=["hard", "soft"])
+    def test_seeded_edits_equal_fresh_tours(self, brackets):
+        """Seeded single insertions, pickup-delivery insertions, removals
+        and tear-outs on the tours of a mixed TD construction: after each
+        edit that succeeds the tour is bit for bit ``Tour(inst, veh,
+        stops, brackets)``; after each that raises EmptyDomain the stop
+        list is infeasible and the tour is bit for bit what it was."""
+        inst = _mixed_td_instance(16, 70)
+        sol = regret_construct(inst, random.Random(0), brackets=brackets)
+        rng = random.Random(71)
+        done = collections.Counter()
+        for tour in sol.tours:
+            for _ in range(40):
+                stops = tour.stops
+                m = len(stops)
+                outside = [it for it in inst.items if it.id not in tour.item_ids]
+                kind = rng.choice(("single", "pair", "remove", "tear"))
+                if kind == "single":
+                    item = rng.choice([it for it in outside if it.depot_pickup])
+                    pos = rng.randrange(m + 1)
+                    new = stops[:pos] + item.stops() + stops[pos:]
+                    edit = partial(tour.insert_single, pos, item.stops()[0])
+                elif kind == "pair":
+                    item = rng.choice([it for it in outside if not it.depot_pickup])
+                    p = rng.randrange(m + 1)
+                    q = rng.randrange(p, m + 1)
+                    pick, drop = item.stops()
+                    new = stops[:p] + [pick] + stops[p:q] + [drop] + stops[q:]
+                    edit = partial(apply_insertion, tour, item, InsertionPlan(p, q, 0.0))
+                else:
+                    if not m:
+                        continue
+                    runs = localsearch._item_runs(tour)
+                    ids = (runs[rng.randrange(len(runs))][2] if kind == "tear"
+                           else (rng.choice(tour.item_ids),))
+                    new = [s for s in stops if s.item_id not in ids]
+                    edit = partial(tour.set_stops, new)
+                before = _tour_state(tour)
+                try:
+                    edit()
+                except EmptyDomain:
+                    done[kind, False] += 1
+                    assert _tour_state(tour) == before
+                    with pytest.raises(EmptyDomain):
+                        Tour(inst, tour.vehicle, new, brackets)
+                    continue
+                done[kind, True] += 1
+                assert tour.stops == new
+                assert _tour_state(tour) == _tour_state(
+                    Tour(inst, tour.vehicle, new, brackets))
+        for kind in ("single", "pair", "remove", "tear"):
+            assert done[kind, True] >= 5, done
+        assert done["single", False] >= 5 and done["pair", False] >= 5, done
+
+    def test_solves_equal_from_scratch_edits(self, monkeypatch):
+        """Mixed TD solves, brackets off and on, write the same plans byte
+        for byte when every edit rebuilds the tour from scratch."""
+        def plans():
+            out = []
+            for seed in (11, 12):
+                inst = _mixed_td_instance(14, seed)
+                for brackets in ((), SOFT):
+                    out.append(serialize_solution(solve(inst, SolverConfig(
+                        seed=1, iterations=4, soft_brackets=brackets))))
+            return out
+
+        want = plans()
+        calls = []
+
+        def counted(tour, stops):
+            calls.append(len(stops))
+            set_stops_reference(tour, stops)
+
+        monkeypatch.setattr(Tour, "set_stops", counted)
+        assert plans() == want
+        assert len(calls) > 100

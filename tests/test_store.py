@@ -1,5 +1,6 @@
 """SegmentStore: query/update correctness, compose budgets, evaluations."""
 
+import copy
 from functools import partial
 
 import numpy as np
@@ -326,11 +327,13 @@ class TestFoldOnly:
     def test_seeded_edits_keep_folds_bit_equal_to_fresh_ones(self):
         """Seeded lazy updates, insertions with updates pending, and
         queries: every prefix and suffix is bit for bit the fresh fold, as
-        in a k = 2 store driven through the same edits."""
+        in a k = 2 store driven through the same edits and in a k = 0
+        store refolded over each new action list."""
         rng = np.random.default_rng(5151)
         for _ in range(8):
             cur = rand_chain(rng, int(rng.integers(1, 25)))
             fold_only, leveled = SegmentStore(cur, k=0), SegmentStore(cur, k=2)
+            refolding = SegmentStore(cur, k=0)
             for _ in range(40):
                 n = len(cur)
                 cand = list(cur)
@@ -348,16 +351,19 @@ class TestFoldOnly:
                     for idx, a in updates:
                         st.update_action(idx, a)
                     st.insert_action(pos, na)
+                refolding = refolding.refolded(cand)
                 cur = cand
                 if rng.random() < 0.3:
                     assert _store_folds(fold_only) == _folds(cur)
-            assert _store_folds(fold_only) == _folds(cur) == _store_folds(leveled)
+            assert (_store_folds(fold_only) == _folds(cur) == _store_folds(leveled)
+                    == _store_folds(refolding))
 
     def test_insert_composes_pinned(self):
-        """An insertion behind a pending update of its predecessor (what
-        Tour.insert_single does) refreshes prefixes from the update onward
-        and suffixes below the insertion: n + 3 composes for n actions,
-        one fewer at either tour end, whose fold starts from nothing."""
+        """Refolding over a one-stop insertion (the action before it
+        replaced, a new one after it, as Tour.insert_single does) composes
+        prefixes from the replaced action onward and suffixes below the
+        new one: n + 3 composes for n actions, one fewer at either tour
+        end, whose fold starts from nothing."""
         for n in (1, 2, 5, 17):
             for p in range(n):
                 acts = rand_chain(RNG, n)
@@ -367,11 +373,33 @@ class TestFoldOnly:
                     na = rand_chain_action(RNG, frac=(p + 1) / n)
                     if _feasible(acts[:p + 1] + [na] + acts[p + 1:]):
                         break
-                st.update_action(p + 1, acts[p])
+                new = acts[:p] + [copy.copy(acts[p]), na] + acts[p + 1:]
                 before = st.compose_count
-                st.insert_action(p + 2, na)
+                refolded = st.refolded(new)
                 want = n + 3 - (p == 0) - (p == n - 1)
-                assert st.compose_count - before == want, (n, p)
+                assert refolded.compose_count - before == want, (n, p)
+                assert _store_folds(refolded) == _folds(new)
+                assert st.n == n
+
+    def test_remove_composes_pinned(self):
+        """Refolding over a one-stop removal (the action before it
+        replaced, its own action dropped) composes prefixes from the
+        replaced action onward and suffixes up to it: n composes for n
+        actions, one fewer at either tour end."""
+        for n in (2, 3, 6, 17):
+            for e in range(n - 1):
+                acts = rand_chain(RNG, n)
+                while True:
+                    mod = rand_chain_action(RNG, frac=(e + 1) / n)
+                    new = acts[:e] + [mod] + acts[e + 2:]
+                    if _feasible(new):
+                        break
+                st = SegmentStore(acts, k=0)
+                before = st.compose_count
+                refolded = st.refolded(new)
+                want = n - (e == 0) - (e == n - 2)
+                assert refolded.compose_count - before == want, (n, e)
+                assert _store_folds(refolded) == _folds(new)
 
     def test_mid_range_queries_raise(self):
         acts = rand_chain(RNG, 6)
