@@ -165,8 +165,9 @@ def select_next_by_regret(instance, solution, pool, nt_cache=None):
     for item in sorted(pool, key=lambda it: it.id):
         plans = [(t, best_insertion(instance, t, item)) for t in solution.tours]
         if free:
-            # keyed by vehicle too: the first free vehicle changes as tours open
-            key = (free[0].id, item.id)
+            # keyed by vehicle content too: the first free vehicle changes
+            # as tours open, and one that differs in its id alone prices alike
+            key = (free[0].content, item.id)
             if key not in nt_cache:
                 nt_cache[key] = new_tour_cost(instance, free[0], item)
             nt_cost, nt_plan = nt_cache[key]

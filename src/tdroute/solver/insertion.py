@@ -151,7 +151,7 @@ def cheapest_insertion(instance, tour, item, prune=True):
         # the sweep's head composes the actions of with_p before action h
         # (h = -1 is START); it grows by the tour's own actions as q moves on
         with_p = stops[:p] + [p_stop] + stops[p:]
-        head = tour.store.query(0, p) if p else None
+        head = tour.store.pre[p]
         h = p - 1
         for q in range(p, m + 1):
             run_max = max(run_max, tour.loads[q])

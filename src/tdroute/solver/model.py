@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 from ..plf import Atf, EmptyDomain, OutOfDomain, StepCost, ZERO_COST, compose
 from ..scheduler import CostModel, optimal_start, soft_window_penalty
-from ..touratf import SegmentStore
+from ..touratf import FoldStore
 
 FAR_FUTURE = 5e8  # effectively "no deadline", yet numerically tame
 _MISSING = object()
@@ -73,6 +73,12 @@ class Vehicle:
     capacity: float = math.inf
 
     @cached_property
+    def content(self):
+        """Every field but the id: all that a price reads of the vehicle,
+        so vehicles that differ in their ids alone price alike."""
+        return astuple(self)[1:]
+
+    @cached_property
     def cost_model(self):
         """The vehicle's duration cost, built once per vehicle."""
         return CostModel.hourly(self.time_cost_per_hour)
@@ -103,7 +109,7 @@ class Instance:
         self._friends = None
         self._actions = {}            # action memo: recipe arguments -> Atf
         self._prices = {}             # price memo: Tour.price_key -> price
-        self._contents = {}           # (vehicle, stops, brackets) -> content id
+        self._contents = {}           # (vehicle content, stops, brackets) -> content id
         self.item_by_id = {it.id: it for it in self.items}
         self.item_slot = {it.id: i for i, it in enumerate(self.items)}
 
@@ -151,11 +157,11 @@ class Instance:
         return value
 
     def content_id(self, vehicle, stops, brackets):
-        """An id shared by every tour with this vehicle, stop list and
-        brackets.  Ids come from one process-wide counter and are never
+        """An id shared by every tour with this vehicle content, stop list
+        and brackets.  Ids come from one process-wide counter and are never
         handed out twice, so an id a tour still holds after
         ``clear_memos`` cannot name other content."""
-        key = (vehicle, tuple(stops), brackets)
+        key = (vehicle.content, tuple(stops), brackets)
         cid = self._contents.get(key)
         if cid is None:
             cid = self._contents[key] = next(_PRICE_IDS)
@@ -244,7 +250,13 @@ def schedule_tour(vehicle, atf):
 
 
 class Tour:
-    """A vehicle's stop sequence plus its composition store and schedule."""
+    """A vehicle's stop sequence, the ``FoldStore`` of its actions, and its
+    schedule.
+
+    Every price reads only the store's prefix and suffix folds, so a tour
+    keeps no mid-range levels; an edit refolds the store over the changed
+    actions (``set_stops``).
+    """
 
     _uid = 0
 
@@ -267,7 +279,7 @@ class Tour:
         inst, veh = self.instance, self.vehicle
         actions = [inst.action(veh, stops, idx, self.brackets)
                    for idx in range(-1, len(stops))]
-        store = (SegmentStore(actions, k=0) if self.store is None
+        store = (FoldStore(actions) if self.store is None
                  else self.store.refolded(actions))
         schedule = schedule_tour(veh, store.full_atf())
         if schedule is None:

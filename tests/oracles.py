@@ -17,7 +17,7 @@ from tdroute.plf import EPS_T, Atf, EmptyDomain, StepCost, ZERO_COST, compose
 from tdroute.plf.envelope import PiecewiseLinear
 from tdroute.scheduler import ScheduleResult, ZERO_MODEL, _wt_integral, total_cost
 from tdroute.solver.model import build_actions, schedule_tour
-from tdroute.touratf import SegmentStore
+from tdroute.touratf import FoldStore, SegmentStore
 
 
 def rand_atf(rng, b_max=8, t0=0.0, span=10.0, flat_prob=0.3, dur_max=3.0):
@@ -463,10 +463,10 @@ def pair_prices_reference(tour, item):
 
 def set_stops_reference(tour, stops):
     """``Tour.set_stops`` from scratch: every action built afresh, a new
-    fold-only store over them, and the tour's derived state recomputed;
+    ``FoldStore`` over them, and the tour's derived state recomputed;
     on EmptyDomain the tour is left as it was."""
     inst, veh = tour.instance, tour.vehicle
-    store = SegmentStore(build_actions(inst, veh, stops, tour.brackets), k=0)
+    store = FoldStore(build_actions(inst, veh, stops, tour.brackets))
     schedule = schedule_tour(veh, store.full_atf())
     if schedule is None:
         raise EmptyDomain(f"tour of vehicle {veh.id} is infeasible")

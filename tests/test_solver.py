@@ -172,19 +172,11 @@ class TestCheapestInsertion:
             assert measured == pytest.approx(plan.delta_cost, abs=1e-6)
 
 
-def _answerable_ranges(store):
-    """Every range a tour's fold-only store answers: those touching a
-    tour end."""
-    n = store.n
-    return [(i, j) for i in range(n) for j in range(i + 1, n + 1)
-            if i == 0 or j == n]
-
-
 class TestInsertSingle:
     def test_failed_insert_leaves_a_fresh_tour(self):
         """Random single-stop inserts into a long tour: after each one that
         raises EmptyDomain the tour equals a fresh Tour over its old stops,
-        down to every range the store can answer."""
+        down to every prefix and suffix fold of its store."""
         inst = grid_instance(24, seed=70, n_vehicles=2, capacity=1000.0)
         self._check_failed_inserts(inst, rounds=60)
 
@@ -217,8 +209,9 @@ class TestInsertSingle:
                     assert (tour.eat, tour.lst, tour.loads, tour.max_load) == (
                         fresh.eat, fresh.lst, fresh.loads, fresh.max_load)
                     assert tour.store.n == fresh.store.n
-                    for i, j in _answerable_ranges(fresh.store):
-                        assert _same_atf(tour.store.query(i, j), fresh.store.query(i, j))
+                    for got, want in zip(tour.store.pre[1:] + tour.store.suf[:-1],
+                                         fresh.store.pre[1:] + fresh.store.suf[:-1]):
+                        assert _same_atf(got, want)
         assert failures >= 10
 
 
@@ -607,6 +600,16 @@ class TestPriceMemo:
         assert hits[True] > 0 and hits[False] > 0
         assert wrong == []
 
+    def test_vehicles_differing_in_id_alone_share_content_ids(self):
+        """A price reads no vehicle id, so twins share their prices."""
+        inst = grid_instance(3, seed=7, n_vehicles=2)
+        veh = inst.vehicles[0]
+        stops = inst.items[0].stops()
+        cid = inst.content_id(veh, stops, ())
+        assert inst.content_id(dataclasses.replace(veh, id=veh.id + 100), stops, ()) == cid
+        dearer = dataclasses.replace(veh, fixed_cost=veh.fixed_cost + 1.0)
+        assert inst.content_id(dearer, stops, ()) != cid
+
     @pytest.mark.parametrize("mutant", ["brackets"])
     def test_audit_catches_an_unsound_key(self, monkeypatch, mutant):
         # content ids interned without the brackets
@@ -758,9 +761,7 @@ def _tour_state(tour):
     """Bytes of everything a tour derives from its stop list: every
     prefix and suffix fold, the schedule, eat, lst and loads."""
     st = tour.store
-    n = st.n
-    folds = ([st.query(0, j) for j in range(1, n + 1)]
-             + [st.query(i, n) for i in range(n)])
+    folds = st.pre[1:] + st.suf[:-1]
     return (tuple(tour.stops),
             [bits(*a.ts) + bits(*a.vs) + cost_bits(a.cost) for a in folds],
             bits(*dataclasses.astuple(tour.schedule)), bits(*tour.eat),

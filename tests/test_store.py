@@ -1,14 +1,14 @@
-"""SegmentStore: query/update correctness, compose budgets, evaluations."""
+"""FoldStore and SegmentStore: folds, queries and insertions, compose
+budgets, evaluations."""
 
 import copy
-from functools import partial
 
 import numpy as np
 import pytest
 
 from tdroute.plf import Atf, EmptyDomain
 from tdroute.plf import compose
-from tdroute.touratf import IndexOutOfRange, MidRangeQuery, SegmentStore
+from tdroute.touratf import FoldStore, IndexOutOfRange, SegmentStore
 from oracles import (bits, cost_bits, fold_compose, rand_chain, rand_chain_action,
                      same_function)
 
@@ -17,7 +17,7 @@ RNG = np.random.default_rng(1312)
 # The stores' compose total over the fixed sequence of
 # test_seeded_mixed_edits_keep_ends_left_folds; a prefix/suffix rebuild that
 # composes more than it must changes this number.
-MIXED_EDITS_COMPOSES = 25329
+MIXED_EDITS_COMPOSES = 34568
 
 
 def _atf_bits(a):
@@ -40,9 +40,32 @@ def _folds(acts):
 
 
 def _store_folds(st):
+    """Bits of a store's prefixes a_{0,j} and suffixes a_{i,n} with i > 0,
+    in the order of ``_folds``."""
     n = st.n
-    return ([_atf_bits(st.query(0, j)) for j in range(1, n + 1)],
-            [_atf_bits(st.query(i, n)) for i in range(1, n)])
+    if isinstance(st, FoldStore):
+        pre, suf = st.pre[1:], st.suf[1:n]
+    else:
+        pre = [st.query(0, j) for j in range(1, n + 1)]
+        suf = [st.query(i, n) for i in range(1, n)]
+    return [_atf_bits(a) for a in pre], [_atf_bits(a) for a in suf]
+
+
+def _splice_matches_fold(st, first, last, repl, spliced):
+    """Asserts that st's splice is infeasible exactly when the fold of the
+    spliced chain is, and equals that fold otherwise; True if feasible."""
+    try:
+        got = st.eval_splice(first, last, repl)
+    except EmptyDomain:
+        got = None
+    try:
+        want = fold_compose(spliced)
+    except EmptyDomain:
+        want = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert same_function(got, want)
+    return got is not None
 
 
 def _feasible(atfs):
@@ -98,13 +121,6 @@ class TestQuery:
 
 
 class TestUpdates:
-    def test_update_with_same_atf_is_noop(self):
-        acts = rand_chain(RNG, 9)
-        st = SegmentStore(acts, k=2)
-        before = st.query(2, 7)
-        st.update_action(4, acts[3])
-        assert same_function(st.query(2, 7), before)
-
     def test_insert_at_end(self):
         acts = rand_chain(RNG, 6)
         st = SegmentStore(acts, k=2)
@@ -113,40 +129,29 @@ class TestUpdates:
         assert same_function(st.query(0, 7), fold_compose(acts + [extra]), tol=1e-6)
 
     def test_random_structural_sequences_match_rebuild(self):
-        for trial in range(12):
-            n = int(RNG.integers(4, 30))
-            k = int(RNG.integers(1, 4))
-            acts = rand_chain(RNG, n)
-            st = SegmentStore(acts, k=k)
-            cur = list(acts)
-            for _ in range(50):
-                r = RNG.random()
-                if r < 0.5:
-                    idx = int(RNG.integers(1, len(cur) + 1))
-                    na = rand_chain_action(RNG, frac=idx / len(cur))
-                    cand = cur[:idx - 1] + [na] + cur[idx:]
-                    if not _feasible(cand):
-                        continue
-                    cur = cand
-                    st.update_action(idx, na)
-                else:
+        """Random feasible insertions at k = 1..3, then random ranges
+        compared with a store built afresh over the same actions."""
+        for k in (1, 2, 3):
+            for _ in range(4):
+                cur = rand_chain(RNG, int(RNG.integers(4, 30)))
+                st = SegmentStore(cur, k=k)
+                for _ in range(25):
                     pos = int(RNG.integers(1, len(cur) + 2))
                     na = rand_chain_action(RNG, frac=pos / (len(cur) + 1))
                     cand = cur[:pos - 1] + [na] + cur[pos - 1:]
-                    if not _feasible(cand):
-                        continue
-                    cur = cand
-                    st.insert_action(pos, na)
-            fresh = SegmentStore(cur, k=k)
-            for _ in range(10):
-                i = int(RNG.integers(0, len(cur)))
-                j = int(RNG.integers(i + 1, len(cur) + 1))
-                assert same_function(st.query(i, j), fresh.query(i, j), tol=1e-6)
+                    if _feasible(cand):
+                        cur = cand
+                        st.insert_action(pos, na)
+                fresh = SegmentStore(cur, k=k)
+                for _ in range(10):
+                    i = int(RNG.integers(0, len(cur)))
+                    j = int(RNG.integers(i + 1, len(cur) + 1))
+                    assert same_function(st.query(i, j), fresh.query(i, j), tol=1e-6)
 
     def test_seeded_mixed_edits_keep_ends_left_folds(self):
         """Every prefix a_{0,j} and suffix a_{i,n} equals a left fold after
-        mixed lazy updates, insertions and queries at k = 1..3, and the
-        stores make exactly MIXED_EDITS_COMPOSES composes in all."""
+        seeded insertions and queries at k = 1..3, and the stores make
+        exactly MIXED_EDITS_COMPOSES composes in all."""
         rng = np.random.default_rng(4242)
         total = 0
         for k in (1, 2, 3):
@@ -154,16 +159,8 @@ class TestUpdates:
                 cur = rand_chain(rng, int(rng.integers(4, 30)))
                 st = SegmentStore(cur, k=k)
                 for _ in range(60):
-                    r = rng.random()
                     n = len(cur)
-                    if r < 0.45:
-                        idx = int(rng.integers(1, n + 1))
-                        na = rand_chain_action(rng, frac=idx / n)
-                        cand = cur[:idx - 1] + [na] + cur[idx:]
-                        if _feasible(cand):
-                            cur = cand
-                            st.update_action(idx, na)
-                    elif r < 0.75:
+                    if rng.random() < 0.6:
                         pos = int(rng.integers(1, n + 2))
                         na = rand_chain_action(rng, frac=pos / (n + 1))
                         cand = cur[:pos - 1] + [na] + cur[pos - 1:]
@@ -184,9 +181,9 @@ class TestUpdates:
         assert total == MIXED_EDITS_COMPOSES
 
     def test_failed_edits_leave_the_committed_store(self):
-        """Seeded infeasible edits at k = 1..3 (one to three lazy updates
-        then a flush, or an insertion) raise EmptyDomain; after each, every
-        range reads as a fresh store over the actions committed so far."""
+        """Seeded infeasible insertions at k = 1..3 raise EmptyDomain; after
+        each, every range reads as a fresh store over the actions committed
+        so far."""
         rng = np.random.default_rng(2718)
         failures = 0
         for k in (1, 2, 3):
@@ -195,24 +192,15 @@ class TestUpdates:
                 st = SegmentStore(cur, k=k)
                 for _ in range(30):
                     n = len(cur)
-                    if rng.random() < 0.5:
-                        cand = list(cur)
-                        for _ in range(int(rng.integers(1, 4))):
-                            idx = int(rng.integers(1, n + 1))
-                            cand[idx - 1] = rand_chain_action(rng, frac=float(rng.random()))
-                            st.update_action(idx, cand[idx - 1])
-                        edit = st.flush
-                    else:
-                        pos = int(rng.integers(1, n + 2))
-                        na = rand_chain_action(rng, frac=float(rng.random()))
-                        cand = cur[:pos - 1] + [na] + cur[pos - 1:]
-                        edit = partial(st.insert_action, pos, na)
+                    pos = int(rng.integers(1, n + 2))
+                    na = rand_chain_action(rng, frac=float(rng.random()))
+                    cand = cur[:pos - 1] + [na] + cur[pos - 1:]
                     if _feasible(cand):
-                        edit()
+                        st.insert_action(pos, na)
                         cur = cand
                         continue
                     with pytest.raises(EmptyDomain):
-                        edit()
+                        st.insert_action(pos, na)
                     failures += 1
                     assert st.n == n
                     fresh = SegmentStore(cur, k=k)
@@ -297,17 +285,22 @@ class TestEvaluations:
         assert same_function(atf_b, fold_compose(acts))
 
     def test_swap_matches_fold(self):
-        a_acts = rand_chain(RNG, 10)
-        b_acts = rand_chain(RNG, 10)
-        st_a = SegmentStore(a_acts, k=2)
-        st_b = SegmentStore(b_acts, k=2)
-        # exchange actions 4..5 of A with 6..7 of B
-        repl_a = [b_acts[5], b_acts[6]]
-        repl_b = [a_acts[3], a_acts[4]]
-        atf_a = st_a.eval_splice(4, 5, repl_a)
-        atf_b = st_b.eval_splice(6, 7, repl_b)
-        assert same_function(atf_a, fold_compose(a_acts[:3] + repl_a + a_acts[5:]))
-        assert same_function(atf_b, fold_compose(b_acts[:5] + repl_b + b_acts[7:]))
+        """Exchanging actions 4..5 of one random tour with 6..7 of another:
+        each splice is infeasible exactly when its fold is, and equals the
+        fold otherwise."""
+        feasible = 0
+        for _ in range(30):
+            a_acts = rand_chain(RNG, 10)
+            b_acts = rand_chain(RNG, 10)
+            st_a = SegmentStore(a_acts, k=2)
+            st_b = SegmentStore(b_acts, k=2)
+            repl_a = [b_acts[5], b_acts[6]]
+            repl_b = [a_acts[3], a_acts[4]]
+            feasible += _splice_matches_fold(st_a, 4, 5, repl_a,
+                                             a_acts[:3] + repl_a + a_acts[5:])
+            feasible += _splice_matches_fold(st_b, 6, 7, repl_b,
+                                             b_acts[:5] + repl_b + b_acts[7:])
+        assert feasible >= 10
 
 
 class TestBuildBudget:
@@ -322,41 +315,30 @@ class TestBuildBudget:
 
 
 class TestFoldOnly:
-    """k = 0 stores keep the prefix and suffix folds only."""
+    """A FoldStore keeps the prefix and suffix folds only."""
 
     def test_seeded_edits_keep_folds_bit_equal_to_fresh_ones(self):
-        """Seeded lazy updates, insertions with updates pending, and
-        queries: every prefix and suffix is bit for bit the fresh fold, as
-        in a k = 2 store driven through the same edits and in a k = 0
-        store refolded over each new action list."""
+        """Seeded insertions and queries: every prefix and suffix is bit
+        for bit the fresh fold, in a FoldStore refolded over each new
+        action list as in a k = 2 store driven through the same
+        insertions."""
         rng = np.random.default_rng(5151)
         for _ in range(8):
             cur = rand_chain(rng, int(rng.integers(1, 25)))
-            fold_only, leveled = SegmentStore(cur, k=0), SegmentStore(cur, k=2)
-            refolding = SegmentStore(cur, k=0)
+            refolding, leveled = FoldStore(cur), SegmentStore(cur, k=2)
             for _ in range(40):
                 n = len(cur)
-                cand = list(cur)
-                updates = []
-                for _ in range(int(rng.integers(0, 3))):
-                    idx = int(rng.integers(1, n + 1))
-                    cand[idx - 1] = rand_chain_action(rng, frac=idx / n)
-                    updates.append((idx, cand[idx - 1]))
                 pos = int(rng.integers(1, n + 2))
                 na = rand_chain_action(rng, frac=pos / (n + 1))
-                cand = cand[:pos - 1] + [na] + cand[pos - 1:]
+                cand = cur[:pos - 1] + [na] + cur[pos - 1:]
                 if not _feasible(cand):
                     continue
-                for st in (fold_only, leveled):
-                    for idx, a in updates:
-                        st.update_action(idx, a)
-                    st.insert_action(pos, na)
+                leveled.insert_action(pos, na)
                 refolding = refolding.refolded(cand)
                 cur = cand
                 if rng.random() < 0.3:
-                    assert _store_folds(fold_only) == _folds(cur)
-            assert (_store_folds(fold_only) == _folds(cur) == _store_folds(leveled)
-                    == _store_folds(refolding))
+                    assert _store_folds(refolding) == _folds(cur)
+            assert _store_folds(refolding) == _folds(cur) == _store_folds(leveled)
 
     def test_insert_composes_pinned(self):
         """Refolding over a one-stop insertion (the action before it
@@ -367,7 +349,7 @@ class TestFoldOnly:
         for n in (1, 2, 5, 17):
             for p in range(n):
                 acts = rand_chain(RNG, n)
-                st = SegmentStore(acts, k=0)
+                st = FoldStore(acts)
                 assert st.compose_count == 2 * (n - 1)
                 while True:
                     na = rand_chain_action(RNG, frac=(p + 1) / n)
@@ -394,50 +376,26 @@ class TestFoldOnly:
                     new = acts[:e] + [mod] + acts[e + 2:]
                     if _feasible(new):
                         break
-                st = SegmentStore(acts, k=0)
+                st = FoldStore(acts)
                 before = st.compose_count
                 refolded = st.refolded(new)
                 want = n - (e == 0) - (e == n - 2)
                 assert refolded.compose_count - before == want, (n, e)
                 assert _store_folds(refolded) == _folds(new)
 
-    def test_mid_range_queries_raise(self):
+    def test_levels_need_k_and_fold_store_reads_fresh_folds(self):
+        """A store with levels needs k >= 1; the folds alone are a
+        FoldStore, whose prefixes and suffixes are bit for bit the fresh
+        folds and whose splices equal the fold of the spliced chain."""
         acts = rand_chain(RNG, 6)
-        st = SegmentStore(acts, k=0)
-        with pytest.raises(MidRangeQuery):
-            st.query(1, 5)
-        with pytest.raises(MidRangeQuery):
-            st.eval_insertion(2, 4, acts[1], acts[2], acts[3], acts[4])
-        assert same_function(st.query(0, 4), fold_compose(acts[:4]))
-        assert same_function(st.query(2, 6), fold_compose(acts[2:]))
+        with pytest.raises(ValueError):
+            SegmentStore(acts, k=0)
+        st = FoldStore(acts)
+        assert st.pre[0] is None and st.suf[6] is None
+        assert _store_folds(st) == _folds(acts)
+        assert _atf_bits(st.full_atf()) == _folds(acts)[0][-1]
         assert same_function(st.eval_splice(3, 3, [acts[2]]), fold_compose(acts))
-
-    def test_failed_insert_keeps_feasible_updates_only(self):
-        """An insertion that hits EmptyDomain leaves the pending updates
-        applied when they alone are feasible and undone otherwise, as a
-        flush before the insertion would."""
-        rng = np.random.default_rng(9090)
-        outcomes = set()
-        for _ in range(200):
-            cur = rand_chain(rng, int(rng.integers(3, 15)))
-            st = SegmentStore(cur, k=0)
-            n = len(cur)
-            updated = list(cur)
-            for _ in range(int(rng.integers(1, 3))):
-                idx = int(rng.integers(1, n + 1))
-                updated[idx - 1] = rand_chain_action(rng, frac=float(rng.random()))
-                st.update_action(idx, updated[idx - 1])
-            pos = int(rng.integers(1, n + 2))
-            na = rand_chain_action(rng, frac=float(rng.random()))
-            inserted = updated[:pos - 1] + [na] + updated[pos - 1:]
-            if _feasible(inserted):
-                st.insert_action(pos, na)
-                want = inserted
-            else:
-                with pytest.raises(EmptyDomain):
-                    st.insert_action(pos, na)
-                want = updated if _feasible(updated) else cur
-                outcomes.add(want is updated)
-            assert st.n == len(want)
-            assert _store_folds(st) == _folds(want)
-        assert outcomes == {True, False}
+        assert same_function(st.eval_splice(2, 5, acts[1:5]), fold_compose(acts))
+        assert same_function(st.eval_splice(1, 6, acts), fold_compose(acts))
+        with pytest.raises(IndexOutOfRange):
+            st.eval_splice(4, 7, [acts[3]])
