@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..scheduler import soft_window_penalty
 from ..solver import SolverConfig, solve, validate
 from .evaluate import evaluate_under
 from .native import ParseError, read_instance, read_solution, write_instance, write_solution
@@ -23,7 +24,8 @@ from .tdgen import flatten, generate_td
 
 
 def _load_instance(path):
-    text = open(path).read(512)
+    with open(path) as f:
+        text = f.read(512)
     if text.startswith("TDROUTE-INSTANCE"):
         return read_instance(path)
     first = text.splitlines()[0].split() if text.splitlines() else []
@@ -33,19 +35,28 @@ def _load_instance(path):
 
 
 def _brackets(spec):
+    """Penalty brackets from 'minutes:dollars,...', checked as
+    ``soft_window_penalty`` checks them; a malformed spec is a usage
+    error.  An empty spec means no brackets."""
     if not spec:
         return ()
-    out = []
-    for part in spec.split(","):
-        minutes, dollars = part.split(":")
-        out.append((float(minutes), float(dollars)))
-    return tuple(out)
+    try:
+        out = tuple((float(m), float(c))
+                    for m, c in (part.split(":") for part in spec.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{spec!r} is not of the form 'minutes:dollars,...'") from None
+    try:
+        soft_window_penalty(0.0, out)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{spec!r}: {e}") from None
+    return out
 
 
 def _config(args):
     return SolverConfig(
         seed=args.seed, iterations=args.iterations, time_limit=args.time_limit,
-        soft_brackets=_brackets(getattr(args, "soft_windows", None)))
+        soft_brackets=args.soft_windows)
 
 
 def _cmd_solve(args):
@@ -134,7 +145,7 @@ def _add_solver_args(p):
     p.add_argument("--iterations", type=int, default=SolverConfig.iterations,
                    help="random-walk moves (default %(default)s)")
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--soft-windows", default=None,
+    p.add_argument("--soft-windows", type=_brackets, default=(),
                    help="penalty brackets, e.g. '15:1,10:2,5:4'")
 
 

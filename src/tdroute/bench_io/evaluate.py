@@ -9,12 +9,13 @@ histogram (how close the on-time starts run to their deadlines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
-from ..plf import Atf, EmptyDomain, compose
+from ..plf import EmptyDomain, compose
 from ..scheduler import optimal_start
 from ..solver.model import FAR_FUTURE, build_actions, schedule_tour
+from ..solver.validate import walk_schedule
 
 SLACK_BUCKETS = ("[10,15)", "[5,10)", "[0,5)", "late")
 
@@ -36,32 +37,11 @@ class EvalReport:
                 f"[0,5)m: {b['[0,5)']}")
 
 
-def _relaxed_actions(instance, vehicle, stops):
-    """Action ATFs that wait for window openings but never refuse lateness."""
-    far = FAR_FUTURE
-    first = stops[0].address if stops else vehicle.end_address
-    start_clamp = Atf(((vehicle.avail_lo, vehicle.avail_lo), (far, far)))
-    actions = [compose(start_clamp, instance.arc(vehicle.start_address, first))]
-    for idx, s in enumerate(stops):
-        nxt = stops[idx + 1].address if idx + 1 < len(stops) else vehicle.end_address
-        serve = Atf(((s.open, s.open + s.duration), (far, far + s.duration)))
-        actions.append(compose(serve, instance.arc(s.address, nxt)))
-    return actions
-
-
-def _simulate(instance, vehicle, stops, t0):
-    """Walk the schedule; return (stop, start, slack_seconds) rows."""
-    rows = []
-    t = t0
-    prev = vehicle.start_address
-    for s in stops:
-        arr = instance.arc(prev, s.address).eval(t)
-        start = max(arr, s.open)
-        rows.append((s, start, s.close - start))
-        t = start + s.duration
-        prev = s.address
-    back = instance.arc(prev, vehicle.end_address).eval(t)
-    return rows, back
+def _slacks(instance, vehicle, stops, t0):
+    """Seconds from each service start to its window's close (negative
+    when late), and the return time, driving from departure t0."""
+    starts, back = walk_schedule(instance, vehicle, stops, t0)
+    return [s.close - start for s, start in zip(stops, starts)], back
 
 
 def _true_cost(instance, veh, stops, t0, duration):
@@ -105,9 +85,13 @@ def evaluate_under(instance, solution):
         if sched is not None:
             t0 = sched.t0
             cost = _true_cost(instance, veh, stops, t0, sched.duration)
-            rows, _ = _simulate(instance, veh, stops, t0)
+            slacks, _ = _slacks(instance, veh, stops, t0)
         else:
-            relaxed = reduce(compose, _relaxed_actions(instance, veh, stops))
+            # the same actions with every deadline lifted: wait for window
+            # openings, never refuse lateness
+            relaxed = reduce(compose, build_actions(
+                instance, replace(veh, avail_hi=FAR_FUTURE),
+                [replace(s, close=FAR_FUTURE) for s in stops]))
             base = optimal_start(relaxed, veh.cost_model)
             cands = {base.t0}
             for t in relaxed.ts:
@@ -116,15 +100,15 @@ def evaluate_under(instance, solution):
             cands.add(veh.avail_lo)
             best = None
             for t0 in sorted(cands):
-                rows, back = _simulate(instance, veh, stops, t0)
-                late = [r for r in rows if r[2] < -1e-6]
-                delay = sum(-r[2] for r in late)
+                slacks, back = _slacks(instance, veh, stops, t0)
+                late = [x for x in slacks if x < -1e-6]
+                delay = sum(-x for x in late)
                 c = _true_cost(instance, veh, stops, t0, back - t0)
                 key = (len(late), delay, c, t0)
                 if best is None or key < best[0]:
-                    best = (key, t0, rows, c)
-            _, t0, rows, cost = best
-        for s, start, slack in rows:
+                    best = (key, t0, slacks, c)
+            _, t0, slacks, cost = best
+        for slack in slacks:
             n_stops += 1
             if slack < -1e-6:
                 buckets["late"] += 1

@@ -103,14 +103,14 @@ def new_tour_cost(instance, vehicle, item):
     return vehicle.fixed_cost + plan.delta_cost + tour.schedule.total_cost, plan
 
 
-def regret_construct(instance, rng, brackets=(), solution=None, items=None,
+def regret_construct(instance, brackets=(), solution=None, items=None,
                      improve_hook=None):
     """Insert items by maximum average regret.
 
     The regret of an item is the mean of its insertion cost over all open
     tours (an infeasible tour contributes the cost of a fresh tour, or a
     large constant when no vehicle is left) minus its cheapest insertion
-    cost.  Deterministic for a fixed rng seed.
+    cost.
     """
     if solution is None:
         solution = Solution(instance)

@@ -43,12 +43,12 @@ def _solve(instance, config):
     brackets = tuple(config.soft_brackets)
     deadline = (None if config.time_limit is None
                 else time.monotonic() + config.time_limit)
-    rng = random.Random(10007 * config.seed + 13)
     sol = regret_construct(
-        instance, rng, brackets=brackets,
+        instance, brackets=brackets,
         improve_hook=lambda s: relocate_pass(instance, s, deadline=deadline))
     relocate_pass(instance, sol, deadline=deadline)
     if budget > 0:
+        rng = random.Random(10007 * config.seed + 13)
         sol = random_walk(instance, sol, rng, budget, brackets, deadline=deadline)
         if deadline is None or time.monotonic() < deadline:
             rng = random.Random(20011 * config.seed + 41)

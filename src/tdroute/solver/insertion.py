@@ -1,10 +1,11 @@
 """Pricing item insertions into a tour.
 
 Candidate positions are screened with travel-time lower bounds and the
-tour's earliest/latest service-start arrays before any ATF is composed;
-survivors are priced exactly from the tour store's prefix and suffix
-folds plus a rescheduling.  The window screen never discards a feasible
-position.
+earliest and latest service starts that the tour store's prefix and
+suffix folds hold, before any ATF is composed; survivors are priced
+exactly from those folds plus a rescheduling.  The window screen never
+discards a feasible position: each bound is exact for the prefix or
+suffix it reads.
 The cost screen (``prune``) is not a lower bound: its time term assumes
 that a detour lengthens the tour, but waiting at a later window can
 absorb the detour, so the pruned scan can return a dearer move than the
@@ -16,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..plf import EmptyDomain, compose
-from .model import schedule_tour
+from .model import FAR_FUTURE, schedule_tour
 
 
 class InsertionPlan(NamedTuple):
@@ -62,12 +63,15 @@ def best_insertion(instance, tour, item):
 def cheapest_insertion(instance, tour, item, prune=True):
     """Best insertion positions and exact cost delta, or raise Infeasible.
 
-    Uses travel-time lower bounds and the tour's earliest/latest service
-    windows to discard positions before composing anything.  With
-    ``prune`` and no soft-window brackets, a depot-pickup item's
-    positions are also screened by a cost estimate, which is not a lower
-    bound (see the module docstring): the pruned scan can return a
-    dearer move than ``prune=False``.
+    Uses travel-time lower bounds and the earliest and latest service
+    starts read off the store's folds to discard positions before
+    composing anything: pre[i + 1] is the tour up to the arrival at stop
+    i, so its first value is the earliest arrival there, and suf[i + 1]
+    is the rest of the tour from that arrival, so its domain ends at the
+    latest start.  With ``prune`` and no soft-window brackets, a
+    depot-pickup item's positions are also screened by a cost estimate,
+    which is not a lower bound (see the module docstring): the pruned
+    scan can return a dearer move than ``prune=False``.
 
     A pickup-delivery item is priced by a sweep per pickup position p.
     Its head composes the prefix fold before p with the action that
@@ -90,17 +94,21 @@ def cheapest_insertion(instance, tour, item, prune=True):
     rate = veh.time_cost_per_hour / 3600.0
     cost_prune = prune and not tour.brackets
     base_cost = tour.schedule.total_cost
+    pre, suf = tour.store.pre, tour.store.suf
+
+    def earliest_departure(i):
+        s = stops[i]
+        return max(pre[i + 1].vs[0], s.open) + s.duration
 
     def prev_info(p):
         if p == 0:
             return veh.start_address, veh.avail_lo
-        s = stops[p - 1]
-        return s.address, tour.eat[p - 1] + s.duration
+        return stops[p - 1].address, earliest_departure(p - 1)
 
     def next_info(p):
         if p == m:
-            return veh.end_address, tour.lst[m]
-        return stops[p].address, tour.lst[p]
+            return veh.end_address, min(veh.avail_hi, FAR_FUTURE)
+        return stops[p].address, suf[p + 1].ts[-1]
 
     best = None
 
@@ -163,7 +171,7 @@ def cheapest_insertion(instance, tour, item, prune=True):
             else:
                 dep_d_lb = max(start_p_lb + p_stop.duration
                                + instance.lo_travel(p_stop.address, stops[p].address),
-                               tour.eat[q - 1] + stops[q - 1].duration)
+                               earliest_departure(q - 1))
                 prev_d_addr = stops[q - 1].address
             arr_d_lb = dep_d_lb + instance.lo_travel(prev_d_addr, d_stop.address)
             if arr_d_lb > d_stop.close + 1e-9:

@@ -164,7 +164,7 @@ def random_walk(instance, solution, rng, budget, brackets=(), deadline=None):
                 if any(s.item_id in ids for s in t.stops):
                     t.set_stops([s for s in t.stops if s.item_id not in ids])
             solution.drop_empty_tours()
-            regret_construct(instance, rng, brackets=brackets,
+            regret_construct(instance, brackets=brackets,
                              solution=solution, items=removed)
             relocate_pass(instance, solution, max_sweeps=1, deadline=deadline)
             cost = solution.total_cost

@@ -14,7 +14,7 @@ from array import array
 from dataclasses import astuple, dataclass
 from functools import cached_property
 
-from ..plf import Atf, EmptyDomain, OutOfDomain, StepCost, ZERO_COST, compose
+from ..plf import Atf, EmptyDomain, StepCost, ZERO_COST, compose
 from ..scheduler import CostModel, optimal_start, soft_window_penalty
 from ..touratf import FoldStore
 
@@ -250,11 +250,12 @@ def schedule_tour(vehicle, atf):
 
 
 class Tour:
-    """A vehicle's stop sequence, the ``FoldStore`` of its actions, and its
-    schedule.
+    """A vehicle's stop sequence, the ``FoldStore`` of its actions, its
+    schedule and its running loads.
 
-    Every price reads only the store's prefix and suffix folds, so a tour
-    keeps no mid-range levels; an edit refolds the store over the changed
+    Every price, and the window screen before it, reads only the store's
+    prefix and suffix folds, so a tour keeps no mid-range levels and no
+    timing bounds of its own; an edit refolds the store over the changed
     actions (``set_stops``).
     """
 
@@ -285,49 +286,20 @@ class Tour:
         if schedule is None:
             raise EmptyDomain(f"tour of vehicle {veh.id} is infeasible")
         self.stops, self.store, self.schedule = stops, store, schedule
-        self._refresh_aux()
+        self._refresh_loads()
         # price_key looks the new stop list's content id up on first use
         self._content_id = None
 
-    def _refresh_aux(self):
-        """Earliest/latest service starts and running loads, for pruning."""
-        inst, veh = self.instance, self.vehicle
-        stops = self.stops
-        m = len(stops)
-        eat = [0.0] * m
-        t = veh.avail_lo
-        prev = veh.start_address
-        for i, s in enumerate(stops):
-            try:
-                arr = inst.arc(prev, s.address).eval(t)
-            except OutOfDomain:
-                break
-            start = max(arr, s.open)
-            eat[i] = start
-            t = start + s.duration
-            prev = s.address
-        self.eat = eat
-        lst = [0.0] * (m + 1)
-        cap = min(veh.avail_hi, FAR_FUTURE)
-        lst[m] = cap
-        nxt = veh.end_address
-        for i in range(m - 1, -1, -1):
-            s = stops[i]
-            dep = inst.arc(s.address, nxt).latest_departure(lst[i + 1])
-            if dep is None:
-                lst[i] = -math.inf
-            else:
-                lst[i] = min(s.close, dep - s.duration)
-            nxt = s.address
-        self.lst = lst
-        preload = sum(inst.item_by_id[s.item_id].demand
-                      for s in stops if s.kind == "D"
-                      and inst.item_by_id[s.item_id].depot_pickup)
+    def _refresh_loads(self):
+        """Running loads from departure on, for the capacity screen."""
+        by_id = self.instance.item_by_id
+        preload = sum(by_id[s.item_id].demand for s in self.stops
+                      if s.kind == "D" and by_id[s.item_id].depot_pickup)
         loads = [preload]
-        for s in stops:
+        for s in self.stops:
             loads.append(loads[-1] + s.demand_delta)
         self.loads = loads
-        self.max_load = max(loads) if loads else 0.0
+        self.max_load = max(loads)
 
     def price_key(self, item):
         """The price memo key of inserting the item into this tour, or of

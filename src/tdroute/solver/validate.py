@@ -1,8 +1,9 @@
 """Independent solution validation.
 
 Rebuilds every tour from the instance with plain folds (no segment store),
-recomputes the schedule, walks it stop by stop, and re-derives the total
-cost from scratch.  Reports every violation instead of stopping at the
+recomputes the schedule, walks it arc by arc (``walk_schedule``, which
+``evaluate_under`` drives too), and re-derives the total cost from
+scratch.  Reports every violation instead of stopping at the
 first one.
 """
 
@@ -34,6 +35,21 @@ class ValidationReport:
         if self.feasible:
             return f"feasible, cost {self.computed_cost:.2f}"
         return "infeasible:\n  " + "\n  ".join(self.violations)
+
+
+def walk_schedule(instance, vehicle, stops, t0):
+    """Drive the stops arc by arc from departure t0, waiting for each
+    window to open: the service start at every stop, and the return time
+    at the end depot."""
+    starts = []
+    t = t0
+    prev = vehicle.start_address
+    for s in stops:
+        start = max(instance.arc(prev, s.address).eval(t), s.open)
+        starts.append(start)
+        t = start + s.duration
+        prev = s.address
+    return starts, instance.arc(prev, vehicle.end_address).eval(t)
 
 
 def validate(solution, instance):
@@ -82,24 +98,17 @@ def validate(solution, instance):
         t0 = sched.t0
         if t0 < veh.avail_lo - _TOL:
             rep.add(f"tour {ti} starts before the vehicle is available")
-        # walk the schedule stop by stop
-        t = t0
-        prev = veh.start_address
+        starts, back = walk_schedule(instance, veh, tour.stops, t0)
         load = sum(instance.item_by_id[s.item_id].demand for s in tour.stops
                    if s.kind == "D" and instance.item_by_id[s.item_id].depot_pickup)
         if load > veh.capacity + _TOL:
             rep.add(f"tour {ti} over capacity before departure")
-        for si, s in enumerate(tour.stops):
-            arr = instance.arc(prev, s.address).eval(t)
-            start = max(arr, s.open)
+        for si, (s, start) in enumerate(zip(tour.stops, starts)):
             if start > s.close + _TOL:
                 rep.add(f"tour {ti} stop {si} (item {s.item_id}) starts {start - s.close:.1f}s late")
             load += s.demand_delta
             if load > veh.capacity + _TOL:
                 rep.add(f"tour {ti} over capacity after stop {si}")
-            t = start + s.duration
-            prev = s.address
-        back = instance.arc(prev, veh.end_address).eval(t)
         if back > veh.avail_hi + _TOL:
             rep.add(f"tour {ti} returns {back - veh.avail_hi:.1f}s past availability")
         if back - t0 > veh.max_duration + _TOL:

@@ -10,13 +10,15 @@ from bisect import bisect_right
 import numpy as np
 
 import inspect
+import itertools
+import math
 import struct
 import textwrap
 
 from tdroute.plf import EPS_T, Atf, EmptyDomain, StepCost, ZERO_COST, compose
 from tdroute.plf.envelope import PiecewiseLinear
 from tdroute.scheduler import ScheduleResult, ZERO_MODEL, _wt_integral, total_cost
-from tdroute.solver.model import build_actions, schedule_tour
+from tdroute.solver.model import FAR_FUTURE, Tour, build_actions, schedule_tour
 from tdroute.touratf import FoldStore, SegmentStore
 
 
@@ -406,6 +408,31 @@ def pair_insertion_reference(tour, store, p, q, p_stop, d_stop):
     return store.eval_splice(p + 1, store.n, repl)
 
 
+def window_bounds_reference(tour):
+    """The earliest service start at each stop of a tour, and the latest
+    start at each stop and at the end depot, by walking its arcs: forward
+    from the vehicle's availability, and back from its return deadline
+    through each arc's latest departure."""
+    inst, veh, stops = tour.instance, tour.vehicle, tour.stops
+    m = len(stops)
+    eat = []
+    t = veh.avail_lo
+    prev = veh.start_address
+    for s in stops:
+        start = max(inst.arc(prev, s.address).eval(t), s.open)
+        eat.append(start)
+        t = start + s.duration
+        prev = s.address
+    lst = [0.0] * m + [min(veh.avail_hi, FAR_FUTURE)]
+    nxt = veh.end_address
+    for i in range(m - 1, -1, -1):
+        s = stops[i]
+        dep = inst.arc(s.address, nxt).latest_departure(lst[i + 1])
+        lst[i] = -math.inf if dep is None else min(s.close, dep - s.duration)
+        nxt = s.address
+    return eat, lst
+
+
 def pair_prices_reference(tour, item):
     """{(p, q): cost delta} over every feasible pickup-delivery position
     pair that survives the solver's capacity and window screens, each
@@ -415,6 +442,7 @@ def pair_prices_reference(tour, item):
     stops = tour.stops
     m = len(stops)
     store = SegmentStore(build_actions(inst, veh, stops, tour.brackets), k=2)
+    eat, lst = window_bounds_reference(tour)
     p_stop, d_stop = item.stops()
 
     def lo(a, b):
@@ -426,7 +454,7 @@ def pair_prices_reference(tour, item):
             prev_addr, depart_lb = veh.start_address, veh.avail_lo
         else:
             prev_addr = stops[p - 1].address
-            depart_lb = tour.eat[p - 1] + stops[p - 1].duration
+            depart_lb = eat[p - 1] + stops[p - 1].duration
         arr_p_lb = depart_lb + lo(prev_addr, p_stop.address)
         if arr_p_lb > p_stop.close + 1e-9:
             break
@@ -441,13 +469,13 @@ def pair_prices_reference(tour, item):
                 prev_d_addr = p_stop.address
             else:
                 dep_d_lb = max(start_p_lb + p_stop.duration + lo(p_stop.address, stops[p].address),
-                               tour.eat[q - 1] + stops[q - 1].duration)
+                               eat[q - 1] + stops[q - 1].duration)
                 prev_d_addr = stops[q - 1].address
             arr_d_lb = dep_d_lb + lo(prev_d_addr, d_stop.address)
             if arr_d_lb > d_stop.close + 1e-9:
                 break
-            nxt_addr, latest_next = ((veh.end_address, tour.lst[m]) if q == m
-                                     else (stops[q].address, tour.lst[q]))
+            nxt_addr, latest_next = ((veh.end_address, lst[m]) if q == m
+                                     else (stops[q].address, lst[q]))
             if (max(arr_d_lb, d_stop.open) + d_stop.duration
                     + lo(d_stop.address, nxt_addr)) > latest_next + 1e-9:
                 continue
@@ -461,6 +489,33 @@ def pair_prices_reference(tour, item):
     return prices
 
 
+def brute_insertion(inst, tour, item):
+    """The least cost delta of inserting the item into the tour, or None
+    when it fits nowhere: every position, or every (pickup, delivery)
+    position pair, priced by a fresh ``Tour`` over the new stop list,
+    with EmptyDomain or a load past capacity meaning infeasible."""
+    veh, stops = tour.vehicle, tour.stops
+    m = len(stops)
+    if item.depot_pickup:
+        lists = [stops[:p] + item.stops() + stops[p:] for p in range(m + 1)]
+    else:
+        p_stop, d_stop = item.stops()
+        lists = [stops[:p] + [p_stop] + stops[p:q] + [d_stop] + stops[q:]
+                 for p in range(m + 1) for q in range(p, m + 1)]
+    best = None
+    for new in lists:
+        try:
+            fresh = Tour(inst, veh, new, tour.brackets)
+        except EmptyDomain:
+            continue
+        if fresh.max_load > veh.capacity + 1e-9:
+            continue
+        delta = fresh.schedule.total_cost - tour.schedule.total_cost
+        if best is None or delta < best:
+            best = delta
+    return best
+
+
 def set_stops_reference(tour, stops):
     """``Tour.set_stops`` from scratch: every action built afresh, a new
     ``FoldStore`` over them, and the tour's derived state recomputed;
@@ -470,6 +525,10 @@ def set_stops_reference(tour, stops):
     schedule = schedule_tour(veh, store.full_atf())
     if schedule is None:
         raise EmptyDomain(f"tour of vehicle {veh.id} is infeasible")
+    by_id = inst.item_by_id
+    preload = sum(by_id[s.item_id].demand for s in stops
+                  if s.kind == "D" and by_id[s.item_id].depot_pickup)
+    loads = list(itertools.accumulate((s.demand_delta for s in stops), initial=preload))
     tour.stops, tour.store, tour.schedule = list(stops), store, schedule
-    tour._refresh_aux()
+    tour.loads, tour.max_load = loads, max(loads)
     tour._content_id = None

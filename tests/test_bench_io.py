@@ -373,6 +373,21 @@ class TestCli:
         assert cli_main(["solve", str(tmp_path / "missing.txt"),
                          "-o", str(tmp_path / "x.sol")]) == 2
 
+    @pytest.mark.parametrize("spec", ["15", "x:1", "5:1,10:2"],
+                             ids=["no-colon", "not-a-number", "increasing"])
+    def test_malformed_soft_windows_exit_2(self, tmp_path, capsys, spec):
+        """A malformed bracket spec is a usage error, reported in one line
+        before anything is read or solved."""
+        base_path = tmp_path / "b.txt"
+        write_instance(make_benchmark_instance(4, seed=10), str(base_path))
+        out = tmp_path / "soft.sol"
+        assert cli_main(["solve", str(base_path), "--soft-windows", spec,
+                         "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: argument --soft-windows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_soft_windows_flag(self, tmp_path):
         base = make_benchmark_instance(8, seed=10)
         base_path = tmp_path / "b.txt"

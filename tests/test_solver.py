@@ -21,8 +21,8 @@ from tdroute.scheduler import CostModel
 from tdroute.solver import engine, insertion, localsearch
 from tdroute.solver.insertion import InsertionPlan, best_insertion
 from tdroute.solver.model import build_action, schedule_tour
-from oracles import (bits, cost_bits, mutant, pair_prices_reference,
-                     set_stops_reference)
+from oracles import (bits, brute_insertion, cost_bits, mutant,
+                     pair_prices_reference, set_stops_reference)
 
 RNG = np.random.default_rng(1337)
 
@@ -187,7 +187,7 @@ class TestInsertSingle:
 
     @staticmethod
     def _check_failed_inserts(inst, rounds):
-        sol = regret_construct(inst, random.Random(0))
+        sol = regret_construct(inst)
         base = max(sol.tours, key=lambda t: len(t.stops))
         outside = [it.stops()[0] for it in inst.items
                    if it.depot_pickup and it.id not in base.item_ids]
@@ -206,8 +206,7 @@ class TestInsertSingle:
                     fresh = Tour(inst, tour.vehicle, before)
                     assert tour.schedule.total_cost == fresh.schedule.total_cost
                     assert tour.schedule.t0 == fresh.schedule.t0
-                    assert (tour.eat, tour.lst, tour.loads, tour.max_load) == (
-                        fresh.eat, fresh.lst, fresh.loads, fresh.max_load)
+                    assert (tour.loads, tour.max_load) == (fresh.loads, fresh.max_load)
                     assert tour.store.n == fresh.store.n
                     for got, want in zip(tour.store.pre[1:] + tour.store.suf[:-1],
                                          fresh.store.pre[1:] + fresh.store.suf[:-1]):
@@ -244,15 +243,13 @@ class TestSeedsAndFriends:
 class TestRegretConstruct:
     def test_single_tour_order_is_cheapest_first(self):
         inst = grid_instance(5, seed=10, n_vehicles=1)
-        import random
-        sol = regret_construct(inst, random.Random(0))
+        sol = regret_construct(inst)
         assert validate(sol, inst).feasible
 
     def test_result_validates(self):
-        import random
         for seed in (0, 1, 2):
             inst = grid_instance(20, seed=20 + seed)
-            sol = regret_construct(inst, random.Random(seed))
+            sol = regret_construct(inst)
             assert validate(sol, inst).feasible
 
     def test_new_tour_priced_on_the_vehicle_it_opens(self):
@@ -295,8 +292,7 @@ class TestRegretConstruct:
                             avail_hi=due, fixed_cost=100.0, capacity=1.0)
                     for v in (0, 1)]
         inst = Instance("two", matrix, items, vehicles, horizon=(0, due))
-        import random
-        sol = regret_construct(inst, random.Random(0))
+        sol = regret_construct(inst)
         assert validate(sol, inst).feasible
         assert sorted(len(t.item_ids) for t in sol.tours if t.stops) == [1, 1]
 
@@ -349,15 +345,14 @@ class TestRegretConstruct:
 class TestRandomWalk:
     def test_zero_budget_unchanged(self):
         inst = grid_instance(10, seed=50)
-        import random
-        sol = regret_construct(inst, random.Random(0))
+        sol = regret_construct(inst)
         before = sol.total_cost
         out = random_walk(inst, sol, random.Random(1), 0)
         assert out.total_cost == pytest.approx(before)
 
     def test_zero_time_limit_returns_incoming_solution(self):
         inst = grid_instance(25, seed=51)
-        sol = regret_construct(inst, random.Random(0))
+        sol = regret_construct(inst)
         state, cost = sol.clone_state(), sol.total_cost
         out = random_walk(inst, sol, random.Random(1), 50, deadline=time.monotonic())
         assert out.clone_state() == state
@@ -365,8 +360,7 @@ class TestRandomWalk:
 
     def test_never_worse_and_validates(self):
         inst = grid_instance(25, seed=51)
-        import random
-        sol = regret_construct(inst, random.Random(0))
+        sol = regret_construct(inst)
         before = sol.total_cost
         out = random_walk(inst, sol, random.Random(1), 15)
         assert out.total_cost <= before + 1e-6
@@ -377,10 +371,8 @@ class TestSolve:
     def test_construction_only_equals_regret(self):
         inst = grid_instance(12, seed=60)
         sol = solve(inst, SolverConfig(seed=4, iterations=0))
-        import random
         ref = regret_construct(
-            inst, random.Random(10007 * 4 + 13),
-            improve_hook=lambda s: relocate_pass(inst, s))
+            inst, improve_hook=lambda s: relocate_pass(inst, s))
         relocate_pass(inst, ref)
         assert sol.total_cost == pytest.approx(ref.total_cost, abs=1e-9)
 
@@ -389,7 +381,7 @@ class TestSolve:
         returns regret construction without its relocations."""
         inst = grid_instance(30, seed=64)
         sol = solve(inst, SolverConfig(seed=3, iterations=10, time_limit=0.0))
-        ref = regret_construct(inst, random.Random(10007 * 3 + 13))
+        ref = regret_construct(inst)
         ref.drop_empty_tours()
         assert serialize_solution(sol) == serialize_solution(ref)
         assert validate(sol, inst).feasible
@@ -425,7 +417,7 @@ class TestActionMemo:
     def test_memo_matches_builder_on_td_city_tours(self):
         inst = generate_td(make_benchmark_instance(8, seed=11),
                            rng=np.random.default_rng(11))
-        sol = regret_construct(inst, random.Random(3))
+        sol = regret_construct(inst)
         tour = max(sol.tours, key=lambda t: len(t.stops))
         veh = tour.vehicle
         # vehicles sharing the memo that differ in one field each: a short
@@ -500,8 +492,13 @@ SOFT = ((15, 1.0), (10, 2.0), (5, 4.0))
 def _mixed_td_instance(n_customers, seed):
     """A time-dependent city instance whose even items are picked up at
     the previous customer instead of the depot."""
-    base = generate_td(make_benchmark_instance(n_customers, seed=seed),
-                       rng=np.random.default_rng(seed))
+    return _mixed(generate_td(make_benchmark_instance(n_customers, seed=seed),
+                              rng=np.random.default_rng(seed)))
+
+
+def _mixed(base):
+    """The instance with its even items picked up at the previous
+    customer instead of the depot."""
     items = [it if it.id % 2 else
              dataclasses.replace(it, depot_pickup=False, pickup_address=it.id - 1,
                                  pickup_duration=60.0)
@@ -546,7 +543,7 @@ def _audit_memo(monkeypatch):
         inst = _mixed_td_instance(12, seed)
         for brackets in ((), SOFT):
             rng = random.Random(seed)
-            sol = regret_construct(inst, rng, brackets=brackets,
+            sol = regret_construct(inst, brackets=brackets,
                                    improve_hook=lambda s: relocate_pass(inst, s))
             relocate_pass(inst, sol)
             random_walk(inst, sol, rng, 12, brackets)
@@ -628,7 +625,7 @@ def _pd_pricing_cases(sizes_seeds):
     for n, seed in sizes_seeds:
         inst = _mixed_td_instance(n, seed)
         for brackets in ((), SOFT):
-            sol = regret_construct(inst, random.Random(seed), brackets=brackets)
+            sol = regret_construct(inst, brackets=brackets)
             for tour in sol.tours:
                 ids = tour.item_ids
                 tours = [tour]
@@ -681,6 +678,49 @@ class TestPairSweep:
                        "head = act if head is None else head")
         cases = _pd_pricing_cases([(16, 11)])
         assert _sweep_disagreements(cases, stuck)
+
+
+class TestWindowScreen:
+    """The window screen never discards a feasible position."""
+
+    @pytest.mark.parametrize("brackets", [(), SOFT], ids=["hard", "soft"])
+    @pytest.mark.parametrize("td", [False, True], ids=["const", "td"])
+    def test_exhaustive_scan_equals_brute_force(self, td, brackets):
+        """Tours grown by seeded cheapest insertions on mixed instances:
+        for every item outside a tour, the unpruned scan's delta equals,
+        within 1e-9, the least delta over fresh tours at every position
+        or position pair, and it raises Infeasible exactly when no fresh
+        tour exists."""
+        checked = collections.Counter()
+        for seed in (11, 12, 13):
+            base = make_benchmark_instance(24, seed=seed)
+            if td:
+                base = generate_td(base, rng=np.random.default_rng(seed))
+            inst = _mixed(base)
+            rng = random.Random(seed)
+            # tours filled to several lengths, so that some items outside
+            # them fit and some do not
+            for veh, n_tried in zip(inst.vehicles, (12, 16, 20)):
+                tour = Tour(inst, veh, [], brackets)
+                for item in rng.sample(inst.items, n_tried):
+                    plan = best_insertion(inst, tour, item)
+                    if plan is not None:
+                        apply_insertion(tour, item, plan)
+                for item in inst.items:
+                    if item.id in tour.item_ids:
+                        continue
+                    want = brute_insertion(inst, tour, item)
+                    try:
+                        got = cheapest_insertion(inst, tour, item, prune=False).delta_cost
+                    except Infeasible:
+                        got = None
+                    if want is None or got is None:
+                        assert got is want, (tour.stops, item.id, got, want)
+                    else:
+                        assert abs(got - want) <= 1e-9, (tour.stops, item.id, got, want)
+                    checked[item.depot_pickup, want is not None] += 1
+        # (depot pickup, feasible): each of the four kinds of case occurs
+        assert len(checked) == 4 and min(checked.values()) >= 2, checked
 
 
 def _validated_cost(inst, tour):
@@ -759,13 +799,13 @@ class TestFromScratch:
 
 def _tour_state(tour):
     """Bytes of everything a tour derives from its stop list: every
-    prefix and suffix fold, the schedule, eat, lst and loads."""
+    prefix and suffix fold, the schedule and the loads."""
     st = tour.store
     folds = st.pre[1:] + st.suf[:-1]
     return (tuple(tour.stops),
             [bits(*a.ts) + bits(*a.vs) + cost_bits(a.cost) for a in folds],
-            bits(*dataclasses.astuple(tour.schedule)), bits(*tour.eat),
-            bits(*tour.lst), bits(*tour.loads, tour.max_load))
+            bits(*dataclasses.astuple(tour.schedule)),
+            bits(*tour.loads, tour.max_load))
 
 
 class TestTourEdits:
@@ -780,7 +820,7 @@ class TestTourEdits:
         stops, brackets)``; after each that raises EmptyDomain the stop
         list is infeasible and the tour is bit for bit what it was."""
         inst = _mixed_td_instance(16, 70)
-        sol = regret_construct(inst, random.Random(0), brackets=brackets)
+        sol = regret_construct(inst, brackets=brackets)
         rng = random.Random(71)
         done = collections.Counter()
         for tour in sol.tours:
