@@ -6,14 +6,21 @@ suffix folds hold, before any ATF is composed; survivors are priced
 exactly from those folds plus a rescheduling.  The window screen never
 discards a feasible position: each bound is exact for the prefix or
 suffix it reads.
-The cost screen (``prune``) is not a lower bound: its time term assumes
-that a detour lengthens the tour, but waiting at a later window can
-absorb the detour, so the pruned scan can return a dearer move than the
+
+A depot-pickup item is also screened by cost (``prune``), in one of two
+ways.  Under soft-window brackets each position gets a floor, a lower
+bound on its delta (``insertion_floor``), and positions are priced
+cheapest floor first until the next floor cannot beat the lowest price;
+the result is bit for bit the exhaustive scan's.  Without brackets the
+screen is an estimate, not a lower bound: its time term assumes that a
+detour lengthens the tour, but waiting at a later window can absorb the
+detour, so the pruned scan can return a dearer move than the
 exhaustive one.
 """
 
 from __future__ import annotations
 
+from operator import sub
 from typing import NamedTuple
 
 from ..plf import EmptyDomain, compose
@@ -48,6 +55,95 @@ def eval_pair_insertion(tour, head, q, hyp):
                                              inst.action(veh, hyp, q + 1, br)])
 
 
+def _least(cost):
+    """The least value of a step cost."""
+    return min((cost.init, *cost.cs))
+
+
+def _fold_floor(rate, fold):
+    """Rate times a fold's least travel time (least v - t over its
+    breakpoints), plus its least step cost; 0 for no fold."""
+    if fold is None:
+        return 0.0
+    return rate * min(map(sub, fold.vs, fold.ts)) + _least(fold.cost)
+
+
+def insertion_floor(tour, pos, stop):
+    """A lower bound on the cost delta of inserting a depot-pickup stop at
+    element position pos.
+
+    The new tour is pre[pos] . mod . new . suf[pos + 1]: mod serves the
+    stop before pos (the start depot serves nothing) and drives to the
+    stop, new serves the stop and drives to the one after pos (or the end
+    depot).  The vehicle's cost model is ``CostModel.hourly``: a start t0
+    costs rate * (a(t0) - t0) plus the tour's step cost at t0, with no
+    work-time rate.  Both terms add up over the four consecutive pieces,
+    each read at the time the vehicle enters it, and each piece costs at
+    least its least value: v - t is piecewise linear, so its least value
+    is at a breakpoint, and a step cost is at least its least step.  mod
+    takes at least the service of the stop before plus the least travel
+    to the stop, and pays at least the arc's least cost plus a penalty;
+    new likewise.  A penalty steps through 0 and the bracket dollars, so
+    it is at least min(0, least bracket).  A duration cap only removes
+    starts.  Waiting only adds to a piece's v - t, so unlike the
+    no-bracket estimate this bound holds however much waiting a detour
+    absorbs.
+    """
+    inst, veh, stops = tour.instance, tour.vehicle, tour.stops
+    rate = veh.time_cost_per_hour / 3600.0
+    pre, suf = tour.store.pre, tour.store.suf
+    if pos == 0:
+        prev_addr, prev_dur = veh.start_address, 0.0
+    else:
+        prev_addr, prev_dur = stops[pos - 1].address, stops[pos - 1].duration
+    nxt_addr = veh.end_address if pos == len(stops) else stops[pos].address
+    pen_min = min((0.0, *(c for _, c in tour.brackets)))
+    return (_fold_floor(rate, pre[pos]) + _fold_floor(rate, suf[pos + 1])
+            + rate * (prev_dur + inst.lo_travel(prev_addr, stop.address) + stop.duration
+                      + inst.lo_travel(stop.address, nxt_addr))
+            + _least(inst.arc(prev_addr, stop.address).cost)
+            + _least(inst.arc(stop.address, nxt_addr).cost)
+            + 2.0 * pen_min - tour.schedule.total_cost)
+
+
+def cheapest_by_floor(floors, price, margin):
+    """The sequential rule's pick over positions priced cheapest floor
+    first: (position, delta), or None when nothing is feasible.
+
+    floors holds (floor, position) pairs, each floor a lower bound on the
+    position's delta; price(position) is the delta, or None when
+    infeasible.  Pricing stops at the first floor that is at least the
+    lowest delta priced, L, plus margin.  The sequential rule (in
+    position order, a delta wins if it is below the best so far by more
+    than 1e-12) then runs over the priced positions alone.
+
+    It picks what the rule picks over every position.  Drop one unpriced
+    position, whose delta u is at least L + margin.  After L's position
+    the best is within 1e-12 of L, so u there never wins.  Before it, the
+    scans with and without u may hold different bests from u on; a step
+    that moves one and not the other leaves it at most 1e-12 below the
+    other, so over n positions both stay above u - n * 1e-12, and L
+    displaces both, after which they agree.  A margin above
+    (n + 1) * 1e-12, plus the floors' rounding, thus keeps the pick bit
+    for bit; 1e-9 covers tours of hundreds of stops.
+    """
+    priced = []
+    lowest = None
+    for floor, pos in sorted(floors):
+        if lowest is not None and floor >= lowest + margin:
+            break
+        delta = price(pos)
+        if delta is not None:
+            priced.append((pos, delta))
+            if lowest is None or delta < lowest:
+                lowest = delta
+    best = None
+    for pos, delta in sorted(priced):
+        if best is None or delta < best[1] - 1e-12:
+            best = (pos, delta)
+    return best
+
+
 def best_insertion(instance, tour, item):
     """``cheapest_insertion`` through the instance's price memo; None when
     the item fits nowhere in the tour."""
@@ -68,10 +164,13 @@ def cheapest_insertion(instance, tour, item, prune=True):
     composing anything: pre[i + 1] is the tour up to the arrival at stop
     i, so its first value is the earliest arrival there, and suf[i + 1]
     is the rest of the tour from that arrival, so its domain ends at the
-    latest start.  With ``prune`` and no soft-window brackets, a
-    depot-pickup item's positions are also screened by a cost estimate,
-    which is not a lower bound (see the module docstring): the pruned
-    scan can return a dearer move than ``prune=False``.
+    latest start.  With ``prune``, a depot-pickup item's positions are
+    also screened by cost (see the module docstring).  Under soft-window
+    brackets they are priced in the order of their ``insertion_floor``
+    until a floor cannot beat the lowest price (``cheapest_by_floor``),
+    which returns exactly what ``prune=False`` does.  Without brackets
+    the screen is an estimate, not a lower bound: the pruned scan can
+    return a dearer move than ``prune=False``.
 
     A pickup-delivery item is priced by a sweep per pickup position p.
     Its head composes the prefix fold before p with the action that
@@ -113,10 +212,21 @@ def cheapest_insertion(instance, tour, item, prune=True):
     best = None
 
     if item.depot_pickup:
-        if tour.max_load + item.demand > veh.capacity + 1e-9:
-            raise Infeasible(item.id)
         d = item.stops()[0]
+        floor_screen = prune and tour.brackets
+        floors = []
+
+        def price(p):
+            try:
+                atf = eval_single_insertion(tour, p, d)
+            except EmptyDomain:
+                return None
+            sched = schedule_tour(veh, atf)
+            return None if sched is None else sched.total_cost - base_cost
+
         for p in range(m + 1):
+            if tour.loads[p] + item.demand > veh.capacity + 1e-9:
+                break  # the item rides every leg up to its delivery
             prev_addr, depart_lb = prev_info(p)
             arr_lb = depart_lb + instance.lo_travel(prev_addr, d.address)
             if arr_lb > d.close + 1e-9:
@@ -124,6 +234,9 @@ def cheapest_insertion(instance, tour, item, prune=True):
             nxt_addr, latest_next = next_info(p)
             start_lb = max(arr_lb, d.open)
             if start_lb + d.duration + instance.lo_travel(d.address, nxt_addr) > latest_next + 1e-9:
+                continue
+            if floor_screen:
+                floors.append((insertion_floor(tour, p, d), p))
                 continue
             if cost_prune and best is not None:
                 lb = (instance.arc_dist_cost(prev_addr, d.address)
@@ -134,16 +247,13 @@ def cheapest_insertion(instance, tour, item, prune=True):
                               - instance.hi_travel(prev_addr, nxt_addr))
                 if lb >= best.delta_cost - 1e-12:
                     continue
-            try:
-                atf = eval_single_insertion(tour, p, d)
-            except EmptyDomain:
-                continue
-            sched = schedule_tour(veh, atf)
-            if sched is None:
-                continue
-            delta = sched.total_cost - base_cost
-            if best is None or delta < best.delta_cost - 1e-12:
+            delta = price(p)
+            if delta is not None and (best is None or delta < best.delta_cost - 1e-12):
                 best = InsertionPlan(None, p, delta)
+        if floor_screen:
+            pick = cheapest_by_floor(floors, price, 1e-9 * (1.0 + abs(base_cost)))
+            if pick is not None:
+                best = InsertionPlan(None, *pick)
         if best is None:
             raise Infeasible(item.id)
         return best

@@ -55,8 +55,7 @@ class Item:
             out.append(Stop("P", self.id, self.pickup_address, self.pickup_open,
                             self.pickup_close, self.pickup_duration, self.demand))
         out.append(Stop("D", self.id, self.delivery_address, self.delivery_open,
-                        self.delivery_close, self.delivery_duration,
-                        -self.demand if not self.depot_pickup else 0.0))
+                        self.delivery_close, self.delivery_duration, -self.demand))
         return out
 
 
@@ -291,7 +290,9 @@ class Tour:
         self._content_id = None
 
     def _refresh_loads(self):
-        """Running loads from departure on, for the capacity screen."""
+        """Running loads from departure on, for the capacity screen:
+        loads[i] is the load on the leg into stop i (loads[-1] on the way
+        back to the depot)."""
         by_id = self.instance.item_by_id
         preload = sum(by_id[s.item_id].demand for s in self.stops
                       if s.kind == "D" and by_id[s.item_id].depot_pickup)
@@ -299,7 +300,6 @@ class Tour:
         for s in self.stops:
             loads.append(loads[-1] + s.demand_delta)
         self.loads = loads
-        self.max_load = max(loads)
 
     def price_key(self, item):
         """The price memo key of inserting the item into this tour, or of

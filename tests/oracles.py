@@ -508,7 +508,7 @@ def brute_insertion(inst, tour, item):
             fresh = Tour(inst, veh, new, tour.brackets)
         except EmptyDomain:
             continue
-        if fresh.max_load > veh.capacity + 1e-9:
+        if max(fresh.loads) > veh.capacity + 1e-9:
             continue
         delta = fresh.schedule.total_cost - tour.schedule.total_cost
         if best is None or delta < best:
@@ -530,5 +530,5 @@ def set_stops_reference(tour, stops):
                   if s.kind == "D" and by_id[s.item_id].depot_pickup)
     loads = list(itertools.accumulate((s.demand_delta for s in stops), initial=preload))
     tour.stops, tour.store, tour.schedule = list(stops), store, schedule
-    tour.loads, tour.max_load = loads, max(loads)
+    tour.loads = loads
     tour._content_id = None

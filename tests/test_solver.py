@@ -19,7 +19,8 @@ from tdroute.solver import (Infeasible, Instance, Item, SolverConfig, Solution,
                             validate)
 from tdroute.scheduler import CostModel
 from tdroute.solver import engine, insertion, localsearch
-from tdroute.solver.insertion import InsertionPlan, best_insertion
+from tdroute.solver.insertion import (InsertionPlan, best_insertion, cheapest_by_floor,
+                                      insertion_floor)
 from tdroute.solver.model import build_action, schedule_tour
 from oracles import (bits, brute_insertion, cost_bits, mutant,
                      pair_prices_reference, set_stops_reference)
@@ -157,6 +158,30 @@ class TestCheapestInsertion:
             full = cheapest_insertion(inst, tour, item, prune=False)
             assert pruned.delta_cost == pytest.approx(full.delta_cost, abs=1e-9)
 
+    def test_a_preloaded_load_leaves_at_its_delivery(self):
+        """Capacity 10: preloaded item 1 (demand 10) is delivered at
+        address 1, then pickup-delivery item 2 (demand 5) rides from
+        address 1 to 2.  The vehicle is empty when it picks item 2 up."""
+        matrix = [[Atf.constant_travel(abs(p - q) * 60.0, -10.0, 8000.0,
+                                       cost=StepCost(abs(p - q)))
+                   for q in range(3)] for p in range(3)]
+        items = [Item(id=1, pickup_address=0, pickup_open=0.0, pickup_close=4000.0,
+                      pickup_duration=0.0, delivery_address=1, delivery_open=0.0,
+                      delivery_close=4000.0, delivery_duration=10.0, demand=10.0,
+                      depot_pickup=True),
+                 Item(id=2, pickup_address=1, pickup_open=0.0, pickup_close=4000.0,
+                      pickup_duration=10.0, delivery_address=2, delivery_open=0.0,
+                      delivery_close=4000.0, delivery_duration=10.0, demand=5.0)]
+        veh = Vehicle(id=0, start_address=0, end_address=0, avail_lo=0.0,
+                      avail_hi=4000.0, capacity=10.0)
+        inst = Instance("preload", matrix, items, [veh], horizon=(0.0, 4000.0))
+        tour = Tour(inst, veh, items[0].stops())
+        assert tour.loads == [10.0, 0.0]
+        apply_insertion(tour, items[1], cheapest_insertion(inst, tour, items[1]))
+        assert [s.kind + str(s.item_id) for s in tour.stops] == ["D1", "P2", "D2"]
+        assert tour.loads == [10.0, 0.0, 5.0, 0.0]
+        assert validate(Solution(inst, [tour]), inst).feasible
+
     def test_delta_matches_applied_cost(self):
         inst = grid_instance(8, seed=6)
         veh = inst.vehicles[0]
@@ -206,7 +231,7 @@ class TestInsertSingle:
                     fresh = Tour(inst, tour.vehicle, before)
                     assert tour.schedule.total_cost == fresh.schedule.total_cost
                     assert tour.schedule.t0 == fresh.schedule.t0
-                    assert (tour.loads, tour.max_load) == (fresh.loads, fresh.max_load)
+                    assert tour.loads == fresh.loads
                     assert tour.store.n == fresh.store.n
                     for got, want in zip(tour.store.pre[1:] + tour.store.suf[:-1],
                                          fresh.store.pre[1:] + fresh.store.suf[:-1]):
@@ -723,6 +748,156 @@ class TestWindowScreen:
         assert len(checked) == 4 and min(checked.values()) >= 2, checked
 
 
+def _stepped(base):
+    """The instance with a stepped cost on every arc: a dollar per 100 s
+    of its least travel time, a quarter of that from 16:00 to 19:00."""
+    def stepped(a):
+        c = a.travel_bounds().lo / 100.0
+        return Atf(ts=list(a.ts), vs=list(a.vs),
+                   cost=StepCost(c, [(16 * 3600.0, 0.25 * c), (19 * 3600.0, c)]))
+    matrix = [[stepped(a) for a in row] for row in base.matrix]
+    return Instance(base.name + "_stepped", matrix, base.items, base.vehicles,
+                    horizon=base.horizon, depot=base.depot)
+
+
+def _bracketed_tours(kinds, seeds, n_customers=24):
+    """(instance, tour) over city instances of each kind ("const", "td",
+    "stepped": time-dependent arcs with stepped costs) under SOFT
+    brackets, with tours grown by seeded cheapest insertions to several
+    lengths."""
+    out = []
+    for kind in kinds:
+        for seed in seeds:
+            inst = make_benchmark_instance(n_customers, seed=seed)
+            if kind != "const":
+                inst = generate_td(inst, rng=np.random.default_rng(seed))
+            if kind == "stepped":
+                inst = _stepped(inst)
+            rng = random.Random(seed)
+            for veh, n_tried in zip(inst.vehicles, (8, 12, 16)):
+                tour = Tour(inst, veh, [], SOFT)
+                for item in rng.sample(inst.items, n_tried):
+                    plan = best_insertion(inst, tour, item)
+                    if plan is not None:
+                        apply_insertion(tour, item, plan)
+                out.append((inst, tour))
+    return out
+
+
+def _floor_screen_disagreements(cases, monkeypatch):
+    """Compare ``prune=True`` with ``prune=False`` on every depot-pickup
+    item outside each tour: the cases whose plans differ (in positions
+    or in any bit of the delta), the number of pairs, and the positions
+    each priced (``eval_single_insertion`` calls)."""
+    calls = collections.Counter()
+    real = insertion.eval_single_insertion
+
+    def counted(*args):
+        calls["priced"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(insertion, "eval_single_insertion", counted)
+    bad, pairs, priced = [], 0, {}
+    for inst, tour in cases:
+        for item in inst.items:
+            if item.id in tour.item_ids:
+                continue
+            plans = []
+            for prune in (True, False):
+                before = calls["priced"]
+                try:
+                    plans.append(cheapest_insertion(inst, tour, item, prune=prune))
+                except Infeasible:
+                    plans.append(None)
+                priced[prune] = priced.get(prune, 0) + calls["priced"] - before
+            pairs += 1
+            if plans[0] != plans[1] or (plans[0] is not None and not _same_price(
+                    plans[0].delta_cost, plans[1].delta_cost)):
+                bad.append((tour.stops, item.id, *plans))
+    return bad, pairs, priced
+
+
+class TestFloorScreen:
+    """Under soft-window brackets a depot-pickup item is priced cheapest
+    floor first, and returns exactly what the exhaustive scan returns."""
+
+    def test_pruned_plan_equals_the_exhaustive_one(self, monkeypatch):
+        cases = _bracketed_tours(("const", "td", "stepped"), range(11, 15))
+        bad, pairs, priced = _floor_screen_disagreements(cases, monkeypatch)
+        assert pairs >= 300
+        assert bad == []
+        assert priced[True] < priced[False]
+
+    def test_a_raised_floor_is_caught(self, monkeypatch):
+        raised = mutant(insertion_floor, "+ 2.0 * pen_min", "+ 2.0 * pen_min + 1.0")
+        monkeypatch.setattr(insertion, "insertion_floor", raised)
+        cases = _bracketed_tours(("const", "td", "stepped"), range(11, 15))
+        bad, _, _ = _floor_screen_disagreements(cases, monkeypatch)
+        assert bad
+
+    @pytest.mark.parametrize("kind", ["const", "td", "stepped"])
+    def test_floor_is_a_lower_bound(self, kind):
+        """At every position where a fresh tour exists, the floor is at
+        most the brute-force delta plus the screen's margin."""
+        checked = 0
+        for inst, tour in _bracketed_tours((kind,), (11, 12)):
+            base = tour.schedule.total_cost
+            margin = 1e-9 * (1.0 + abs(base))
+            stops = tour.stops
+            for item in inst.items:
+                if item.id in tour.item_ids:
+                    continue
+                d = item.stops()[0]
+                for p in range(len(stops) + 1):
+                    try:
+                        fresh = Tour(inst, tour.vehicle, stops[:p] + [d] + stops[p:], SOFT)
+                    except EmptyDomain:
+                        continue
+                    delta = fresh.schedule.total_cost - base
+                    assert insertion_floor(tour, p, d) <= delta + margin, (stops, item.id, p)
+                    checked += 1
+        assert checked >= 300
+
+    def test_near_ties_pick_the_sequential_winner(self):
+        """Seeded position lists with some positions infeasible and deltas
+        in two clusters of near-ties chained 1e-12 apart, one at 5 and one
+        just above 5 + margin, plus far ones; floors at or below the deltas,
+        some tight.  The floor-ordered pick is the one the sequential rule
+        makes over every position, also when it prices only some."""
+        margin = 6e-9
+        skipped = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            deltas = []
+            for _ in range(rng.randint(1, 14)):
+                r = rng.random()
+                step = rng.randint(-3, 3) * rng.choice((0.5e-12, 0.9e-12, 1e-12))
+                if r < 0.15:
+                    deltas.append(None)
+                elif r < 0.55:
+                    deltas.append(5.0 + step)
+                elif r < 0.9:
+                    deltas.append(5.0 + 1e-8 + step)
+                else:
+                    deltas.append(5.0 + rng.uniform(1e-8, 3.0))
+            floors = [(rng.uniform(-5.0, 0.0) if d is None
+                       else d - rng.choice((0.0, 0.0, 1e-13, 1e-10, rng.uniform(0.0, 3.0))), p)
+                      for p, d in enumerate(deltas)]
+            seq = None
+            for p, d in enumerate(deltas):
+                if d is not None and (seq is None or d < seq[1] - 1e-12):
+                    seq = (p, d)
+            priced = []
+
+            def price(p):
+                priced.append(p)
+                return deltas[p]
+
+            assert cheapest_by_floor(floors, price, margin) == seq, seed
+            skipped += len(priced) < len(deltas)
+        assert skipped >= 100
+
+
 def _validated_cost(inst, tour):
     """The tour's schedule cost as ``validate`` recomputes it."""
     others = {it.id for it in inst.items} - set(tour.item_ids)
@@ -805,7 +980,7 @@ def _tour_state(tour):
     return (tuple(tour.stops),
             [bits(*a.ts) + bits(*a.vs) + cost_bits(a.cost) for a in folds],
             bits(*dataclasses.astuple(tour.schedule)),
-            bits(*tour.loads, tour.max_load))
+            bits(*tour.loads))
 
 
 class TestTourEdits:
