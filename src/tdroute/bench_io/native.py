@@ -3,6 +3,12 @@
 Floats are written with repr() so parse(serialize(x)) reproduces x bit for
 bit.  The arc matrix is stored as explicit breakpoint lists with attached
 cost pieces, which keeps files human-diffable and language-agnostic.
+
+A solution file names its soft-window brackets in a line
+``brackets k m1 c1 .. mk ck`` ((minutes, dollars) pairs) after the
+``instance`` line, written only when the solution has brackets, so a
+plan without them has no such line.  Its ``cost`` line is the total the
+solve reported, which ``validate`` checks against the recomputed cost.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from ..plf import Atf, EmptyDomain, StepCost
-from ..solver import Instance, Item, Solution, Tour, Vehicle
+from ..solver import Instance, Item, Solution, Vehicle
 
 
 class ParseError(ValueError):
@@ -200,6 +206,9 @@ def read_instance(path):
 def serialize_solution(sol):
     out = ["TDROUTE-SOLUTION 1"]
     out.append(f"instance {sol.instance.name.replace(' ', '_')}")
+    if sol.brackets:
+        out.append("brackets {} {}".format(
+            len(sol.brackets), " ".join(f"{_fmt(m)} {_fmt(c)}" for m, c in sol.brackets)))
     out.append(f"cost {_fmt(sol.total_cost)}")
     unserved = sorted(sol.unserved)
     out.append("unserved {} {}".format(len(unserved), " ".join(map(str, unserved))).rstrip())
@@ -231,8 +240,10 @@ class UnscheduledTour:
 
 
 def read_solution(path, instance):
-    """Rebuild a Solution against its instance.  Tours that cannot be
-    scheduled under it come back as UnscheduledTour."""
+    """Rebuild a Solution against its instance, under the brackets the
+    file names (none without a ``brackets`` line), with the file's ``cost``
+    line as its ``reported_cost``.  Tours that cannot be scheduled under
+    the instance come back as UnscheduledTour."""
     with open(path) as f:
         # number the lines before dropping blank ones, so errors name the
         # line as an editor shows it
@@ -240,12 +251,22 @@ def read_solution(path, instance):
     if not lines or not lines[0][1].startswith("TDROUTE-SOLUTION"):
         raise ParseError("not a tdroute solution file", lines[0][0] if lines else 1)
     unserved = set()
-    tours = []
+    brackets, brackets_line = (), None
+    cost = None
+    plans = []
     veh_by_id = {v.id: v for v in instance.vehicles}
     for ln_no, ln in lines[1:]:
         tok = ln.split()
         if tok[0] == "unserved":
             unserved = set(_ints(tok[2:], ln_no))
+        elif tok[0] == "brackets":
+            vals = _floats(tok[2:], ln_no)
+            if _ints(tok[1:2], ln_no) != [len(vals) // 2] or len(vals) % 2:
+                raise ParseError("brackets line needs its count and that many "
+                                 "minutes-dollars pairs", ln_no)
+            brackets, brackets_line = tuple(zip(vals[0::2], vals[1::2])), ln_no
+        elif tok[0] == "cost":
+            [cost] = _floats(tok[1:2], ln_no)
         elif tok[0] == "t":
             [vid] = _ints(tok[1:2], ln_no)
             if vid not in veh_by_id:
@@ -263,8 +284,15 @@ def read_solution(path, instance):
                         break
                 else:
                     raise ParseError(f"item {item_id} has no {kind} stop", ln_no)
-            try:
-                tours.append(Tour(instance, veh_by_id[vid], stops))
-            except EmptyDomain:
-                tours.append(UnscheduledTour(veh_by_id[vid], stops))
-    return Solution(instance, tours, unserved)
+            plans.append((veh_by_id[vid], stops))
+    try:
+        sol = Solution(instance, unserved=unserved, brackets=brackets)
+    except ValueError as e:
+        raise ParseError(f"brackets: {e}", brackets_line)
+    sol.reported_cost = cost
+    for veh, stops in plans:
+        try:
+            sol.tours.append(sol.new_tour(veh, stops))
+        except EmptyDomain:
+            sol.tours.append(UnscheduledTour(veh, stops, sol.brackets))
+    return sol

@@ -6,7 +6,7 @@ import itertools
 
 from ..plf import EmptyDomain
 from .insertion import apply_insertion, best_insertion
-from .model import Solution, Tour
+from .model import Solution
 
 NO_VEHICLE_COST = 1e6
 FRIEND_RATIO = 0.75
@@ -45,67 +45,60 @@ def _pair_lb(instance, vehicle, i1, i2):
     return best
 
 
-def compute_friends(instance):
-    """Pairs of items that fit well together: low combined-tour detour."""
-    if instance._friends is not None:
-        return instance._friends
-    friends = {it.id: set() for it in instance.items}
-    if instance.vehicles:
-        veh = instance.vehicles[0]
-        singles = {it.id: _single_item_lb(instance, veh, it) for it in instance.items}
-        items = instance.items
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                a, b = items[i], items[j]
-                denom = singles[a.id] + singles[b.id]
-                if denom <= 1e-9:
-                    continue
-                if _pair_lb(instance, veh, a, b) / denom <= FRIEND_RATIO:
-                    friends[a.id].add(b.id)
-                    friends[b.id].add(a.id)
-    instance._friends = friends
-    return friends
-
-
-def importance(instance, item):
-    """Penalty plus remoteness: hard-to-handle items seed their own tours."""
-    veh = instance.vehicles[0] if instance.vehicles else None
-    remote = _single_item_lb(instance, veh, item) if veh else 0.0
-    return item.penalty + remote
-
-
 def select_seeds(instance):
-    """Greedy maximal set of important, pairwise non-friend items."""
-    friends = compute_friends(instance)
-    ranked = sorted(instance.items, key=lambda it: (-importance(instance, it), it.id))
+    """Greedy maximal set of important, pairwise non-friend items.
+
+    Items are ranked by importance, their penalty plus the travel lower
+    bound of serving them alone (``_single_item_lb``): hard-to-handle
+    items seed their own tours.  Two items are friends when the bound of
+    serving both in one tour (``_pair_lb``) is at most ``FRIEND_RATIO`` of
+    the sum of their single bounds.  Each ranked item is checked only
+    against the seeds chosen so far, at most one per vehicle, so no
+    friend graph over all pairs is built.  The order of a pair does not
+    matter: swapping the items maps the precedence-feasible orders onto
+    the same address sequences, so the bound and the ratio are equal
+    bit for bit.
+    """
+    if not instance.vehicles:
+        return []
+    veh = instance.vehicles[0]
+    single = {it.id: _single_item_lb(instance, veh, it) for it in instance.items}
+
+    def friends(a, b):
+        denom = single[a.id] + single[b.id]
+        return denom > 1e-9 and _pair_lb(instance, veh, a, b) / denom <= FRIEND_RATIO
+
+    ranked = sorted(instance.items, key=lambda it: (-(it.penalty + single[it.id]), it.id))
     seeds = []
-    chosen = set()
-    limit = len(instance.vehicles)
     for it in ranked:
-        if len(seeds) >= limit:
+        if len(seeds) >= len(instance.vehicles):
             break
-        if friends[it.id] & chosen:
-            continue
-        seeds.append(it)
-        chosen.add(it.id)
+        if not any(friends(seed, it) for seed in seeds):
+            seeds.append(it)
     return seeds
 
 
-def new_tour_cost(instance, vehicle, item):
-    """Cost of opening a fresh tour for the item alone, or None."""
+def new_tour_cost(solution, vehicle, item):
+    """Cost of opening a fresh tour of the solution for the item alone,
+    under the solution's brackets, or None."""
     try:
-        tour = Tour(instance, vehicle, [])
+        tour = solution.new_tour(vehicle)
     except EmptyDomain:
         return None, None
-    plan = best_insertion(instance, tour, item)
+    plan = best_insertion(solution.instance, tour, item)
     if plan is None:
         return None, None
     return vehicle.fixed_cost + plan.delta_cost + tour.schedule.total_cost, plan
 
 
-def regret_construct(instance, brackets=(), solution=None, items=None,
-                     improve_hook=None):
-    """Insert items by maximum average regret.
+def regret_construct(instance, solution=None, items=None, improve_hook=None):
+    """Insert items by maximum average regret into the solution (a fresh
+    one without brackets when None); every tour opened is the solution's
+    ``new_tour``, so it pays the solution's brackets.
+
+    With ``items`` None the construction starts from scratch: a seed tour
+    per ``select_seeds`` item, then every item neither served nor
+    unserved.  Otherwise only the given items are inserted.
 
     The regret of an item is the mean of its insertion cost over all open
     tours (an infeasible tour contributes the cost of a fresh tour, or a
@@ -114,12 +107,12 @@ def regret_construct(instance, brackets=(), solution=None, items=None,
     """
     if solution is None:
         solution = Solution(instance)
+    if items is None:
         free = solution.free_vehicles()
         for seed in select_seeds(instance):
             if not free:
                 break
-            veh = free.pop(0)
-            tour = Tour(instance, veh, [], brackets)
+            tour = solution.new_tour(free.pop(0))
             plan = best_insertion(instance, tour, seed)
             if plan is None:
                 solution.unserved.add(seed.id)
@@ -130,7 +123,7 @@ def regret_construct(instance, brackets=(), solution=None, items=None,
         pool = [it for it in instance.items if it.id not in served
                 and it.id not in solution.unserved]
     else:
-        pool = list(items or [])
+        pool = list(items)
 
     nt_cache = {}
     inserted = 0
@@ -142,8 +135,7 @@ def regret_construct(instance, brackets=(), solution=None, items=None,
             break
         item, tour, plan = best_pick
         if tour is None:
-            veh = solution.free_vehicles()[0]
-            tour = Tour(instance, veh, [], brackets)
+            tour = solution.new_tour(solution.free_vehicles()[0])
             solution.tours.append(tour)
         apply_insertion(tour, item, plan)
         pool = [it for it in pool if it.id != item.id]
@@ -169,7 +161,7 @@ def select_next_by_regret(instance, solution, pool, nt_cache=None):
             # as tours open, and one that differs in its id alone prices alike
             key = (free[0].content, item.id)
             if key not in nt_cache:
-                nt_cache[key] = new_tour_cost(instance, free[0], item)
+                nt_cache[key] = new_tour_cost(solution, free[0], item)
             nt_cost, nt_plan = nt_cache[key]
         else:
             nt_cost, nt_plan = None, None

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from .construct import regret_construct
 from .localsearch import random_walk, relocate_pass
+from .model import Solution
 
 
 @dataclass
@@ -40,19 +41,18 @@ def solve(instance, config=None):
 
 def _solve(instance, config):
     budget = config.iterations
-    brackets = tuple(config.soft_brackets)
     deadline = (None if config.time_limit is None
                 else time.monotonic() + config.time_limit)
     sol = regret_construct(
-        instance, brackets=brackets,
+        instance, Solution(instance, brackets=config.soft_brackets),
         improve_hook=lambda s: relocate_pass(instance, s, deadline=deadline))
     relocate_pass(instance, sol, deadline=deadline)
     if budget > 0:
         rng = random.Random(10007 * config.seed + 13)
-        sol = random_walk(instance, sol, rng, budget, brackets, deadline=deadline)
+        sol = random_walk(instance, sol, rng, budget, deadline=deadline)
         if deadline is None or time.monotonic() < deadline:
             rng = random.Random(20011 * config.seed + 41)
             sol = random_walk(instance, sol, rng, max(1, budget // 2),
-                              brackets, deadline=deadline)
+                              deadline=deadline)
     sol.drop_empty_tours()
     return sol

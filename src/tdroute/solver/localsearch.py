@@ -129,11 +129,12 @@ def eval_without_positions(tour, idxs):
     return tour.store.eval_splice(e1 + 1, e2 + 2, repl)
 
 
-def random_walk(instance, solution, rng, budget, brackets=(), deadline=None):
+def random_walk(instance, solution, rng, budget, deadline=None):
     """Ruin-and-recreate: alternately tear out a random run or dissolve a
     whole tour, reinsert by regret, keep the result iff it is not worse.
     Stops early once ``time.monotonic()`` reaches the deadline, checked
-    between moves."""
+    between moves.  Reinserted and restored tours are the solution's own
+    (``Solution.new_tour``), so they keep its brackets."""
     incumbent = solution.clone_state()
     incumbent_cost = solution.total_cost
     for it in range(budget):
@@ -164,8 +165,7 @@ def random_walk(instance, solution, rng, budget, brackets=(), deadline=None):
                 if any(s.item_id in ids for s in t.stops):
                     t.set_stops([s for s in t.stops if s.item_id not in ids])
             solution.drop_empty_tours()
-            regret_construct(instance, brackets=brackets,
-                             solution=solution, items=removed)
+            regret_construct(instance, solution, items=removed)
             relocate_pass(instance, solution, max_sweeps=1, deadline=deadline)
             cost = solution.total_cost
         except EmptyDomain:
@@ -174,7 +174,7 @@ def random_walk(instance, solution, rng, budget, brackets=(), deadline=None):
             incumbent = solution.clone_state()
             incumbent_cost = min(cost, incumbent_cost)
         else:
-            solution.restore_state(incumbent, brackets)
-    solution.restore_state(incumbent, brackets)
+            solution.restore_state(incumbent)
+    solution.restore_state(incumbent)
     solution.drop_empty_tours()
     return solution

@@ -105,7 +105,6 @@ class Instance:
         self.n_addresses = len(matrix)
         self._lo = None               # travel-time bounds, indexed p * n + q
         self._hi = None
-        self._friends = None
         self._actions = {}            # action memo: recipe arguments -> Atf
         self._prices = {}             # price memo: Tour.price_key -> price
         self._contents = {}           # (vehicle content, stops, brackets) -> content id
@@ -350,12 +349,30 @@ class Tour:
 
 
 class Solution:
-    """A set of tours plus the items nobody serves."""
+    """A set of tours plus the items nobody serves, under its solve's
+    soft-window brackets.
 
-    def __init__(self, instance, tours=(), unserved=()):
+    The brackets are normalised to (minutes, dollars) float pairs and
+    checked with ``soft_window_penalty`` here, once; every tour the solver
+    makes comes from ``new_tour``, so all of them pay the same penalties.
+    ``reported_cost`` is a plan file's ``cost`` line, set by
+    ``read_solution`` and checked by ``validate``; None means the
+    solution's own total.
+    """
+
+    reported_cost = None
+
+    def __init__(self, instance, tours=(), unserved=(), brackets=()):
         self.instance = instance
+        self.brackets = tuple((float(m), float(c)) for m, c in brackets)
+        soft_window_penalty(0.0, self.brackets)
         self.tours = list(tours)
         self.unserved = set(unserved)
+
+    def new_tour(self, vehicle, stops=()):
+        """A tour of the vehicle under the solution's brackets, not yet
+        one of its tours."""
+        return Tour(self.instance, vehicle, stops, self.brackets)
 
     @property
     def total_cost(self):
@@ -381,7 +398,7 @@ class Solution:
         return ([(t.vehicle.id, list(t.stops)) for t in self.tours],
                 set(self.unserved))
 
-    def restore_state(self, state, brackets=()):
+    def restore_state(self, state):
         veh_by_id = {v.id: v for v in self.instance.vehicles}
         tours = []
         existing = {t.vehicle.id: t for t in self.tours}
@@ -390,6 +407,6 @@ class Solution:
             if old is not None and old.stops == stops:
                 tours.append(old)
             else:
-                tours.append(Tour(self.instance, veh_by_id[vid], stops, brackets))
+                tours.append(self.new_tour(veh_by_id[vid], stops))
         self.tours = tours
         self.unserved = set(state[1])

@@ -18,6 +18,7 @@ import textwrap
 from tdroute.plf import EPS_T, Atf, EmptyDomain, StepCost, ZERO_COST, compose
 from tdroute.plf.envelope import PiecewiseLinear
 from tdroute.scheduler import ScheduleResult, ZERO_MODEL, _wt_integral, total_cost
+from tdroute.solver import construct
 from tdroute.solver.model import FAR_FUTURE, Tour, build_actions, schedule_tour
 from tdroute.touratf import FoldStore, SegmentStore
 
@@ -532,3 +533,47 @@ def set_stops_reference(tour, stops):
     tour.stops, tour.store, tour.schedule = list(stops), store, schedule
     tour.loads = loads
     tour._content_id = None
+
+
+def compute_friends(instance):
+    """The friend graph over every item pair: two items are friends when
+    the travel bound of serving both in one tour is at most
+    ``FRIEND_RATIO`` of the sum of their single-item bounds."""
+    friends = {it.id: set() for it in instance.items}
+    if instance.vehicles:
+        veh = instance.vehicles[0]
+        singles = {it.id: construct._single_item_lb(instance, veh, it)
+                   for it in instance.items}
+        items = instance.items
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                a, b = items[i], items[j]
+                denom = singles[a.id] + singles[b.id]
+                if denom <= 1e-9:
+                    continue
+                if construct._pair_lb(instance, veh, a, b) / denom <= construct.FRIEND_RATIO:
+                    friends[a.id].add(b.id)
+                    friends[b.id].add(a.id)
+    return friends
+
+
+def select_seeds_reference(instance):
+    """The seed greedy over ``compute_friends``'s graph: items by falling
+    importance (penalty plus single-item bound), each taken unless a
+    friend was taken before, at most one per vehicle."""
+    friends = compute_friends(instance)
+    veh = instance.vehicles[0] if instance.vehicles else None
+
+    def importance(item):
+        return item.penalty + (construct._single_item_lb(instance, veh, item) if veh else 0.0)
+
+    ranked = sorted(instance.items, key=lambda it: (-importance(it), it.id))
+    seeds, chosen = [], set()
+    for it in ranked:
+        if len(seeds) >= len(instance.vehicles):
+            break
+        if friends[it.id] & chosen:
+            continue
+        seeds.append(it)
+        chosen.add(it.id)
+    return seeds

@@ -1,12 +1,16 @@
 """Formats, parsers, TD generation, flattening, evaluation, and the CLI."""
 
+import contextlib
+import io
+import re
+
 import numpy as np
 import pytest
 
 from tdroute.bench_io import (DEFAULT_PROFILES, ParseError, evaluate_under,
                               flatten, generate_td, make_benchmark_instance,
                               parse_instance_text, parse_lilim, parse_solomon,
-                              read_solution, serialize_instance,
+                              read_instance, read_solution, serialize_instance,
                               serialize_solution, td_arc,
                               write_instance, write_solution)
 from tdroute.bench_io.cli import main as cli_main
@@ -246,6 +250,7 @@ class TestSolutionFiles:
         again = read_solution(str(path), base)
         assert again.total_cost == pytest.approx(sol.total_cost, abs=1e-9)
         assert validate(again, base).feasible
+        assert again.brackets == () and "brackets" not in path.read_text()
 
     def test_error_names_the_line_counting_blank_lines(self, tmp_path):
         base = make_benchmark_instance(4, seed=1)
@@ -278,6 +283,63 @@ def _malform(text, prefix, edit):
     i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
     lines[i] = edit(lines[i])
     return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def soft_plan(tmp_path_factory):
+    """city8 seed 1 after ``generate-td --seed 1``, solved by the CLI at
+    seed 1 with 3 walk moves under brackets 15:1,10:2,5:4: (instance
+    path, plan path, the cost the solve printed)."""
+    d = tmp_path_factory.mktemp("soft")
+    td = generate_td(make_benchmark_instance(8, seed=1), rng=np.random.default_rng(1))
+    write_instance(td, str(d / "td.txt"))
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli_main(["solve", str(d / "td.txt"), "--seed", "1", "--iterations", "3",
+                         "--soft-windows", "15:1,10:2,5:4", "-o", str(d / "soft.sol")]) == 0
+    solved = re.search(r"cost (\S+),", printed.getvalue()).group(1)
+    return str(d / "td.txt"), str(d / "soft.sol"), solved
+
+
+class TestBracketedPlanFiles:
+    """A plan file names its solve's brackets, and reading it rebuilds the
+    tours under them."""
+
+    def test_plan_survives_a_write_and_a_read(self, soft_plan, capsys):
+        td_path, sol_path, solved = soft_plan
+        capsys.readouterr()
+        text = open(sol_path).read()
+        assert "\nbrackets 3 15.0 1.0 10.0 2.0 5.0 4.0\n" in text
+        again = read_solution(sol_path, read_instance(td_path))
+        assert again.brackets == ((15.0, 1.0), (10.0, 2.0), (5.0, 4.0))
+        assert serialize_solution(again) == text
+        # the penalties the plan pays are part of the validated cost
+        assert solved == "279.85"
+        assert cli_main(["validate", td_path, sol_path]) == 0
+        assert capsys.readouterr().out == f"feasible, cost {solved}\n"
+
+    def test_validate_rejects_an_edited_cost_line(self, soft_plan, tmp_path, capsys):
+        td_path, sol_path, solved = soft_plan
+        path = tmp_path / "edited.sol"
+        path.write_text(_malform(open(sol_path).read(), "cost ", lambda _: "cost 270.0"))
+        capsys.readouterr()
+        assert cli_main(["validate", td_path, str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("infeasible:")
+        assert f"reported cost 270.000000 != recomputed {solved}" in out
+
+    @pytest.mark.parametrize("line", ["brackets 2 15.0 1.0 10.0", "brackets 1 15.0 x",
+                                      "brackets 2 10.0 1.0 15.0 2.0"],
+                             ids=["short", "not-a-number", "increasing"])
+    def test_malformed_brackets_line_exit_2(self, soft_plan, tmp_path, capsys, line):
+        td_path, sol_path, _ = soft_plan
+        path = tmp_path / "bad.sol"
+        path.write_text(_malform(open(sol_path).read(), "brackets ", lambda _: line))
+        with pytest.raises(ParseError) as err:
+            read_solution(str(path), read_instance(td_path))
+        assert err.value.line_no == 3
+        assert cli_main(["validate", td_path, str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestMalformedInstance:

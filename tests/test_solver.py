@@ -10,20 +10,22 @@ from functools import partial
 import numpy as np
 import pytest
 
-from tdroute.bench_io import generate_td, make_benchmark_instance, serialize_solution
+from tdroute.bench_io import (generate_td, make_benchmark_instance, make_planted_instance,
+                              serialize_solution)
 from tdroute.plf import Atf, EmptyDomain, StepCost
 from tdroute.solver import (Infeasible, Instance, Item, SolverConfig, Solution,
                             Tour, Vehicle, apply_insertion, cheapest_insertion,
-                            compute_friends, random_walk, regret_construct,
+                            random_walk, regret_construct,
                             relocate_pass, select_seeds, solve,
                             validate)
 from tdroute.scheduler import CostModel
-from tdroute.solver import engine, insertion, localsearch
+from tdroute.solver import construct, engine, insertion, localsearch
 from tdroute.solver.insertion import (InsertionPlan, best_insertion, cheapest_by_floor,
                                       insertion_floor)
 from tdroute.solver.model import build_action, schedule_tour
 from oracles import (bits, brute_insertion, cost_bits, mutant,
-                     pair_prices_reference, set_stops_reference)
+                     pair_prices_reference, select_seeds_reference,
+                     set_stops_reference)
 
 RNG = np.random.default_rng(1337)
 
@@ -240,16 +242,15 @@ class TestInsertSingle:
 
 
 class TestSeedsAndFriends:
-    def test_no_friends_selects_all(self):
+    def test_no_friends_selects_all(self, monkeypatch):
         inst = grid_instance(3, seed=7, n_vehicles=3)
-        inst._friends = {it.id: set() for it in inst.items}
+        monkeypatch.setattr(construct, "FRIEND_RATIO", -1.0)
         seeds = select_seeds(inst)
         assert len(seeds) == 3
 
-    def test_all_mutual_friends_selects_one(self):
+    def test_all_mutual_friends_selects_one(self, monkeypatch):
         inst = grid_instance(3, seed=8, n_vehicles=3)
-        ids = [it.id for it in inst.items]
-        inst._friends = {i: set(ids) - {i} for i in ids}
+        monkeypatch.setattr(construct, "FRIEND_RATIO", float("inf"))
         assert len(select_seeds(inst)) == 1
 
     def test_importance_monotone(self):
@@ -261,8 +262,20 @@ class TestSeedsAndFriends:
                    for it in inst.items]
         inst2 = Instance(inst.name, inst.matrix, boosted, inst.vehicles,
                          horizon=inst.horizon)
-        inst2._friends = compute_friends(inst)
         assert target in {it.id for it in select_seeds(inst2)}
+
+
+    def test_seeds_equal_the_friend_graph_greedy(self):
+        """Checking each ranked item against the chosen seeds alone picks
+        the seeds of the greedy over the whole friend graph, on planted
+        and time-dependent city instances and their pickup-delivery twins."""
+        bases = [make_planted_instance(100, seed=s)[0] for s in (1, 2, 3)]
+        bases += [generate_td(make_benchmark_instance(30, seed=s),
+                              rng=np.random.default_rng(s)) for s in (11, 12, 13)]
+        for inst in bases + [_mixed(b) for b in bases]:
+            want = [it.id for it in select_seeds_reference(inst)]
+            assert [it.id for it in select_seeds(inst)] == want, inst.name
+            assert len(want) > 1
 
 
 class TestRegretConstruct:
@@ -343,7 +356,7 @@ class TestRegretConstruct:
         for item in sorted(pool, key=lambda it: it.id):
             nt = None
             if free:
-                nt, _ = new_tour_cost(inst, free[0], item)
+                nt, _ = new_tour_cost(sol, free[0], item)
             sentinel = nt if nt is not None else NO_VEHICLE_COST
             costs = []
             feasible_costs = []
@@ -568,10 +581,10 @@ def _audit_memo(monkeypatch):
         inst = _mixed_td_instance(12, seed)
         for brackets in ((), SOFT):
             rng = random.Random(seed)
-            sol = regret_construct(inst, brackets=brackets,
+            sol = regret_construct(inst, Solution(inst, brackets=brackets),
                                    improve_hook=lambda s: relocate_pass(inst, s))
             relocate_pass(inst, sol)
-            random_walk(inst, sol, rng, 12, brackets)
+            random_walk(inst, sol, rng, 12)
 
     inst = _mixed_td_instance(20, 50)
     grown = Tour(inst, inst.vehicles[0], [])
@@ -614,6 +627,46 @@ class TestSoftWindows:
         assert validate(Solution(inst, [soft], unserved=[2, 3, 4]), inst).feasible
 
 
+    @staticmethod
+    def _city8():
+        """city8 seed 1 after generate_td at seed 1."""
+        return generate_td(make_benchmark_instance(8, seed=1),
+                           rng=np.random.default_rng(1))
+
+    def test_new_tour_price_pays_the_brackets(self):
+        """Opening a tour for an item costs the vehicle's fixed cost plus
+        the bracketed one-item tour, as every tour the solve opens pays
+        its brackets."""
+        inst = self._city8()
+        sol = Solution(inst, brackets=SOFT)
+        veh = inst.vehicles[0]
+        for item in inst.items:
+            price, _ = construct.new_tour_cost(sol, veh, item)
+            tour = Tour(inst, veh, item.stops(), SOFT)
+            assert price == pytest.approx(veh.fixed_cost + tour.schedule.total_cost,
+                                          rel=1e-12), item.id
+
+    def test_list_brackets_plan_like_tuples(self):
+        inst = self._city8()
+        plans = [serialize_solution(solve(inst, SolverConfig(
+            seed=1, iterations=3, soft_brackets=brackets)))
+            for brackets in (SOFT, [[15, 1], [10, 2], [5, 4]])]
+        assert plans[0] == plans[1]
+
+    def test_misordered_brackets_raise_before_any_tour(self, monkeypatch):
+        built = []
+        real = Tour.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(Tour, "__init__", counted)
+        with pytest.raises(ValueError, match="strictly decrease"):
+            solve(self._city8(), SolverConfig(soft_brackets=((10, 1), (15, 2))))
+        assert built == []
+
+
 class TestPriceMemo:
     """Memoised insertion and removal prices equal uncached ones."""
 
@@ -650,7 +703,7 @@ def _pd_pricing_cases(sizes_seeds):
     for n, seed in sizes_seeds:
         inst = _mixed_td_instance(n, seed)
         for brackets in ((), SOFT):
-            sol = regret_construct(inst, brackets=brackets)
+            sol = regret_construct(inst, Solution(inst, brackets=brackets))
             for tour in sol.tours:
                 ids = tour.item_ids
                 tours = [tour]
@@ -995,7 +1048,7 @@ class TestTourEdits:
         stops, brackets)``; after each that raises EmptyDomain the stop
         list is infeasible and the tour is bit for bit what it was."""
         inst = _mixed_td_instance(16, 70)
-        sol = regret_construct(inst, brackets=brackets)
+        sol = regret_construct(inst, Solution(inst, brackets=brackets))
         rng = random.Random(71)
         done = collections.Counter()
         for tour in sol.tours:
