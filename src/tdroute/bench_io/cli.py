@@ -112,11 +112,14 @@ def _cmd_evaluate(args):
 
 
 def _cmd_bench(args):
+    """Solve and validate every instance in the directory, in name order;
+    exit 1 once all are done if any plan failed ``validate``."""
     paths = sorted(Path(args.directory).glob("*.txt"))
     if not paths:
         print(f"no instances in {args.directory}", file=sys.stderr)
         return 2
     rows = []
+    infeasible = False
     for path in paths:
         try:
             inst = _load_instance(str(path))
@@ -128,6 +131,7 @@ def _cmd_bench(args):
         dt = time.monotonic() - t0
         rep = validate(sol, inst)
         status = "ok" if rep.feasible else "INFEASIBLE"
+        infeasible |= not rep.feasible
         rows.append((path.stem, sol.n_vehicles, sol.total_cost, dt))
         print(f"{path.stem}: tours={sol.n_vehicles} cost={sol.total_cost:.2f} "
               f"time={dt:.1f}s {status}")
@@ -137,7 +141,7 @@ def _cmd_bench(args):
             w.writerow(["instance", "tours", "cost", "time_s"])
             for name, tours, cost, dt in rows:
                 w.writerow([name, tours, f"{cost:.2f}", f"{dt:.2f}"])
-    return 0
+    return 1 if infeasible else 0
 
 
 def _add_solver_args(p):

@@ -7,6 +7,15 @@ exactly from those folds plus a rescheduling.  The window screen never
 discards a feasible position: each bound is exact for the prefix or
 suffix it reads.
 
+What the screen and the floors read of the folds is a bounds record
+(``tour_bounds``), built once per tour content and kept beside the price
+memo: per position, the addresses either side, the earliest departure
+before and the latest start after, and the part of ``insertion_floor``
+that does not depend on the item.  The window screen, ``insertion_floor``
+and ``insertion_floors`` (every item's least floor over a tour, in one
+array pass, which relocation reads) all read it, as does the
+``removal_bound`` of an item the tour serves.
+
 A depot-pickup item is also screened by cost (``prune``), in one of two
 ways.  Under soft-window brackets each position gets a floor, a lower
 bound on its delta (``insertion_floor``), and positions are priced
@@ -20,8 +29,11 @@ exhaustive one.
 
 from __future__ import annotations
 
+import math
 from operator import sub
 from typing import NamedTuple
+
+import numpy as np
 
 from ..plf import EmptyDomain, compose
 from .model import FAR_FUTURE, schedule_tour
@@ -68,6 +80,55 @@ def _fold_floor(rate, fold):
     return rate * min(map(sub, fold.vs, fold.ts)) + _least(fold.cost)
 
 
+class TourBounds:
+    """What the window screen and the cost floors read of one tour
+    content, per element position p = 0..m of an m-stop tour.
+
+    ``prev[p]`` and ``nxt[p]`` are the addresses before and after p;
+    ``depart[p]`` is the earliest departure from prev (the vehicle's
+    availability at the depot) and ``latest[p]`` the latest service start
+    at nxt (its return deadline at the end depot).  ``pre_floor[p]`` and
+    ``suf_floor[p]`` are ``_fold_floor`` of pre[p] and suf[p], and
+    ``fold[p]`` is the item-free part of ``insertion_floor`` at p.
+    ``floors`` is ``insertion_floors``, filled on first use.
+    """
+
+    __slots__ = ("prev", "nxt", "depart", "latest", "pre_floor", "suf_floor",
+                 "fold", "floors")
+
+    def __init__(self, tour):
+        veh, stops = tour.vehicle, tour.stops
+        m = len(stops)
+        rate = veh.time_cost_per_hour / 3600.0
+        pre, suf = tour.store.pre, tour.store.suf
+        self.prev = [veh.start_address] + [s.address for s in stops]
+        self.nxt = [s.address for s in stops] + [veh.end_address]
+        self.depart = [veh.avail_lo] + [max(pre[i + 1].vs[0], s.open) + s.duration
+                                        for i, s in enumerate(stops)]
+        self.latest = [suf[p + 1].ts[-1] for p in range(m)] + [min(veh.avail_hi, FAR_FUTURE)]
+        self.pre_floor = [_fold_floor(rate, f) for f in pre]
+        self.suf_floor = [_fold_floor(rate, f) for f in suf]
+        pen2 = 2.0 * _pen_min(tour)
+        base = tour.schedule.total_cost
+        prev_dur = [0.0] + [s.duration for s in stops]
+        self.fold = [self.pre_floor[p] + self.suf_floor[p + 1] + rate * prev_dur[p]
+                     + pen2 - base for p in range(m + 1)]
+        self.floors = None
+
+
+def tour_bounds(tour):
+    """The tour's bounds record, built once per content and solve: the
+    instance keeps it beside the price memo under the tour's content id,
+    so retained tours hold nothing of it."""
+    return tour.instance.bounds(tour, TourBounds)
+
+
+def _pen_min(tour):
+    """The least soft-window penalty of a stop: a penalty steps through 0
+    and the bracket dollars."""
+    return min((0.0, *(c for _, c in tour.brackets)))
+
+
 def insertion_floor(tour, pos, stop):
     """A lower bound on the cost delta of inserting a depot-pickup stop at
     element position pos.
@@ -83,27 +144,120 @@ def insertion_floor(tour, pos, stop):
     is at a breakpoint, and a step cost is at least its least step.  mod
     takes at least the service of the stop before plus the least travel
     to the stop, and pays at least the arc's least cost plus a penalty;
-    new likewise.  A penalty steps through 0 and the bracket dollars, so
-    it is at least min(0, least bracket).  A duration cap only removes
-    starts.  Waiting only adds to a piece's v - t, so unlike the
-    no-bracket estimate this bound holds however much waiting a detour
-    absorbs.
+    new likewise.  A penalty is at least ``_pen_min``.  A duration cap
+    only removes starts.  Waiting only adds to a piece's v - t, so unlike
+    the no-bracket estimate this bound holds however much waiting a detour
+    absorbs.  The folds' part, the service before, both penalties and the
+    old cost are the bounds record's ``fold``.
     """
-    inst, veh, stops = tour.instance, tour.vehicle, tour.stops
-    rate = veh.time_cost_per_hour / 3600.0
-    pre, suf = tour.store.pre, tour.store.suf
-    if pos == 0:
-        prev_addr, prev_dur = veh.start_address, 0.0
-    else:
-        prev_addr, prev_dur = stops[pos - 1].address, stops[pos - 1].duration
-    nxt_addr = veh.end_address if pos == len(stops) else stops[pos].address
-    pen_min = min((0.0, *(c for _, c in tour.brackets)))
-    return (_fold_floor(rate, pre[pos]) + _fold_floor(rate, suf[pos + 1])
-            + rate * (prev_dur + inst.lo_travel(prev_addr, stop.address) + stop.duration
+    inst = tour.instance
+    rec = tour_bounds(tour)
+    rate = tour.vehicle.time_cost_per_hour / 3600.0
+    prev_addr, nxt_addr = rec.prev[pos], rec.nxt[pos]
+    return (rec.fold[pos]
+            + rate * (inst.lo_travel(prev_addr, stop.address) + stop.duration
                       + inst.lo_travel(stop.address, nxt_addr))
             + _least(inst.arc(prev_addr, stop.address).cost)
-            + _least(inst.arc(stop.address, nxt_addr).cost)
-            + 2.0 * pen_min - tour.schedule.total_cost)
+            + _least(inst.arc(stop.address, nxt_addr).cost))
+
+
+class _FloorTables(NamedTuple):
+    """The instance arrays ``insertion_floors`` reads, built once per
+    solve.  Items are in ``Instance.items`` order, and their fields are
+    those of the delivery stop."""
+    lo: np.ndarray       # least travel time, address by address (a view)
+    least: np.ndarray    # least arc cost, address by address
+    addr: np.ndarray
+    open: np.ndarray
+    close: np.ndarray
+    duration: np.ndarray
+    demand: np.ndarray
+    pd: np.ndarray       # True for a pickup-and-delivery item
+
+
+def _floor_tables(inst):
+    items = inst.items
+    return _FloorTables(
+        inst.lo_matrix(),
+        np.array([[_least(a.cost) for a in row] for row in inst.matrix]),
+        np.array([it.delivery_address for it in items], dtype=np.intp),
+        np.array([it.delivery_open for it in items]),
+        np.array([it.delivery_close for it in items]),
+        np.array([it.delivery_duration for it in items]),
+        np.array([it.demand for it in items]),
+        np.array([not it.depot_pickup for it in items], dtype=bool))
+
+
+def insertion_floors(tour):
+    """For every item of the instance, by item slot, a lower bound on the
+    delta ``cheapest_insertion`` returns for it on this tour.
+
+    A depot-pickup item's bound is its least ``insertion_floor`` over the
+    positions that pass a loosened copy of the capacity and window
+    screens: every position is tested, none ends the scan, and each test
+    has 1e-6 of slack where the screen has 1e-9, so the positions kept
+    are a superset of those the screen lets through, and the floors are
+    the same float expressions as ``insertion_floor``'s.  The bound is
+    +inf when no position passes, when ``cheapest_insertion`` raises
+    ``Infeasible``.  A pickup-and-delivery item's bound is -inf.  One
+    array pass over positions by items, memoised in the bounds record.
+    """
+    rec = tour_bounds(tour)
+    if rec.floors is None:
+        rec.floors = _insertion_floors(tour, rec)
+    return rec.floors
+
+
+def _insertion_floors(tour, rec):
+    veh = tour.vehicle
+    t = tour.instance.floor_tables(_floor_tables)
+    rate = veh.time_cost_per_hour / 3600.0
+    prev, nxt = np.array(rec.prev), np.array(rec.nxt)
+    lo_in = t.lo[np.ix_(prev, t.addr)]       # position by item: prev -> item
+    lo_out = t.lo[np.ix_(t.addr, nxt)].T     # item -> next
+    arr = np.array(rec.depart)[:, None] + lo_in
+    passes = ((np.array(tour.loads)[:, None] + t.demand <= veh.capacity + 1e-6)
+              & (arr <= t.close + 1e-6)
+              & (np.maximum(arr, t.open) + t.duration + lo_out
+                 <= np.array(rec.latest)[:, None] + 1e-6))
+    floor = (np.array(rec.fold)[:, None]
+             + rate * (lo_in + t.duration + lo_out)
+             + t.least[np.ix_(prev, t.addr)]
+             + t.least[np.ix_(t.addr, nxt)].T)
+    out = np.where(passes, floor, np.inf).min(axis=0)
+    out[t.pd] = -np.inf
+    return out
+
+
+def removal_bound(tour, item):
+    """An upper bound on what removing the item from the tour saves, that
+    is on minus the delta that prices the removal; +inf for a
+    pickup-and-delivery item.
+
+    Removing the only stop saves the tour's cost, fixed cost included,
+    exactly.  Otherwise, with the stop at position i, the tour becomes
+    pre[i] . mod . suf[i + 2], where mod serves the stop before i and
+    drives to the one after.  As in ``insertion_floor``, each piece costs
+    at least its least value: the folds their ``_fold_floor``, and mod
+    rate times the service before plus the least travel, plus the arc's
+    least cost and a penalty.  The old cost minus that floor bounds the
+    saving.
+    """
+    if not item.depot_pickup:
+        return math.inf
+    if len(tour.stops) == 1:
+        return tour.cost
+    inst = tour.instance
+    rec = tour_bounds(tour)
+    rate = tour.vehicle.time_cost_per_hour / 3600.0
+    i = next(i for i, s in enumerate(tour.stops) if s.item_id == item.id)
+    prev_addr, nxt_addr = rec.prev[i], rec.nxt[i + 1]
+    prev_dur = tour.stops[i - 1].duration if i else 0.0
+    return tour.schedule.total_cost - (
+        rec.pre_floor[i]
+        + rate * (prev_dur + inst.lo_travel(prev_addr, nxt_addr))
+        + _least(inst.arc(prev_addr, nxt_addr).cost)
+        + _pen_min(tour) + rec.suf_floor[i + 2])
 
 
 def cheapest_by_floor(floors, price, margin):
@@ -160,11 +314,11 @@ def cheapest_insertion(instance, tour, item, prune=True):
     """Best insertion positions and exact cost delta, or raise Infeasible.
 
     Uses travel-time lower bounds and the earliest and latest service
-    starts read off the store's folds to discard positions before
-    composing anything: pre[i + 1] is the tour up to the arrival at stop
-    i, so its first value is the earliest arrival there, and suf[i + 1]
-    is the rest of the tour from that arrival, so its domain ends at the
-    latest start.  With ``prune``, a depot-pickup item's positions are
+    starts read off the store's folds, through the tour's bounds record,
+    to discard positions before composing anything: pre[i + 1] is the
+    tour up to the arrival at stop i, so its first value is the earliest
+    arrival there, and suf[i + 1] is the rest of the tour from that
+    arrival, so its domain ends at the latest start.  With ``prune``, a depot-pickup item's positions are
     also screened by cost (see the module docstring).  Under soft-window
     brackets they are priced in the order of their ``insertion_floor``
     until a floor cannot beat the lowest price (``cheapest_by_floor``),
@@ -193,21 +347,8 @@ def cheapest_insertion(instance, tour, item, prune=True):
     rate = veh.time_cost_per_hour / 3600.0
     cost_prune = prune and not tour.brackets
     base_cost = tour.schedule.total_cost
-    pre, suf = tour.store.pre, tour.store.suf
-
-    def earliest_departure(i):
-        s = stops[i]
-        return max(pre[i + 1].vs[0], s.open) + s.duration
-
-    def prev_info(p):
-        if p == 0:
-            return veh.start_address, veh.avail_lo
-        return stops[p - 1].address, earliest_departure(p - 1)
-
-    def next_info(p):
-        if p == m:
-            return veh.end_address, min(veh.avail_hi, FAR_FUTURE)
-        return stops[p].address, suf[p + 1].ts[-1]
+    rec = tour_bounds(tour)
+    prev_addrs, departs, nxt_addrs, latests = rec.prev, rec.depart, rec.nxt, rec.latest
 
     best = None
 
@@ -227,13 +368,13 @@ def cheapest_insertion(instance, tour, item, prune=True):
         for p in range(m + 1):
             if tour.loads[p] + item.demand > veh.capacity + 1e-9:
                 break  # the item rides every leg up to its delivery
-            prev_addr, depart_lb = prev_info(p)
-            arr_lb = depart_lb + instance.lo_travel(prev_addr, d.address)
+            prev_addr = prev_addrs[p]
+            arr_lb = departs[p] + instance.lo_travel(prev_addr, d.address)
             if arr_lb > d.close + 1e-9:
                 break  # departures only get later further down the tour
-            nxt_addr, latest_next = next_info(p)
+            nxt_addr = nxt_addrs[p]
             start_lb = max(arr_lb, d.open)
-            if start_lb + d.duration + instance.lo_travel(d.address, nxt_addr) > latest_next + 1e-9:
+            if start_lb + d.duration + instance.lo_travel(d.address, nxt_addr) > latests[p] + 1e-9:
                 continue
             if floor_screen:
                 floors.append((insertion_floor(tour, p, d), p))
@@ -260,8 +401,7 @@ def cheapest_insertion(instance, tour, item, prune=True):
 
     p_stop, d_stop = item.stops()
     for p in range(m + 1):
-        prev_addr, depart_lb = prev_info(p)
-        arr_p_lb = depart_lb + instance.lo_travel(prev_addr, p_stop.address)
+        arr_p_lb = departs[p] + instance.lo_travel(prev_addrs[p], p_stop.address)
         if arr_p_lb > p_stop.close + 1e-9:
             break
         start_p_lb = max(arr_p_lb, p_stop.open)
@@ -281,15 +421,14 @@ def cheapest_insertion(instance, tour, item, prune=True):
             else:
                 dep_d_lb = max(start_p_lb + p_stop.duration
                                + instance.lo_travel(p_stop.address, stops[p].address),
-                               earliest_departure(q - 1))
+                               departs[q])
                 prev_d_addr = stops[q - 1].address
             arr_d_lb = dep_d_lb + instance.lo_travel(prev_d_addr, d_stop.address)
             if arr_d_lb > d_stop.close + 1e-9:
                 break
-            nxt_addr, latest_next = next_info(q)
             start_d_lb = max(arr_d_lb, d_stop.open)
             if (start_d_lb + d_stop.duration
-                    + instance.lo_travel(d_stop.address, nxt_addr)) > latest_next + 1e-9:
+                    + instance.lo_travel(d_stop.address, nxt_addrs[q])) > latests[q] + 1e-9:
                 continue
             try:
                 while h < q:

@@ -6,7 +6,7 @@ import time
 
 from ..plf import EmptyDomain
 from .construct import regret_construct
-from .insertion import apply_insertion, best_insertion
+from .insertion import apply_insertion, best_insertion, insertion_floors, removal_bound
 from .model import schedule_tour
 
 L_MAX = 3
@@ -38,13 +38,30 @@ def relocate_pass(instance, solution, max_sweeps=None, deadline=None):
     """Move single items to their cheapest other tour while it helps, or
     until ``time.monotonic()`` reaches the deadline, checked between items.
 
+    A move is taken when its insertion delta plus its removal delta is
+    below -_IMPROVE_EPS, and only moves that can pass that test are
+    priced.  Each other tour's ``insertion_floors`` bound the item's
+    insertion delta there from below, and ``removal_bound`` bounds what
+    removing it saves from above.  An item is skipped, its removal
+    unpriced, when no floor is below that saving by more than
+    _IMPROVE_EPS; otherwise a target is skipped when its floor is not
+    below the priced saving by that much.  Each test has a margin
+    (``_cannot_pay``) above the rounding of the floors and the deltas, so
+    a skipped move's delta sum is at least -_IMPROVE_EPS and the full
+    scan would not take it either.  If the best of the targets priced is
+    taken, each skipped delta is above it by more than the margin, so by
+    the drop lemma of ``cheapest_by_floor`` the sequential pick over
+    every target is that same one; if it is not taken, neither is any
+    target the full scan might pick instead.  So the pass makes the same
+    moves as pricing every item into every tour, bit for bit.
+
     Insertion and removal prices go through the instance's price memo,
     which lasts the whole solve: a sweep re-prices only the tours that
     changed since the last one, and a tour rebuilt with stops priced
     before (a rejected walk move restores them) hits the memo too.  Keys
     name the tour's content (see ``Tour.price_key``), and a price reads
     nothing but that content, so a hit is bit for bit the price of the
-    live tour.
+    live tour.  The floors are memoised per content alike.
     """
     any_gain = False
     sweeps = 0
@@ -62,13 +79,19 @@ def relocate_pass(instance, solution, max_sweeps=None, deadline=None):
                 if not any(s.item_id == item_id for s in tour.stops):
                     continue
                 item = instance.item_by_id[item_id]
+                slot = instance.item_slot[item_id]
+                targets = [(other, insertion_floors(other)[slot])
+                           for other in solution.tours if other is not tour and other.stops]
+                saving = removal_bound(tour, item)
+                if all(_cannot_pay(floor, saving, other) for other, floor in targets):
+                    continue
                 gain = _removal_gain(instance, tour, item)
                 if gain is None:
                     continue
                 removal_delta, new_stops = gain
                 best = None
-                for other in solution.tours:
-                    if other is tour or not other.stops:
+                for other, floor in targets:
+                    if _cannot_pay(floor, -removal_delta, other):
                         continue
                     plan = best_insertion(instance, other, item)
                     if plan is None:
@@ -87,6 +110,18 @@ def relocate_pass(instance, solution, max_sweeps=None, deadline=None):
         if max_sweeps is not None and sweeps >= max_sweeps:
             break
     return any_gain
+
+
+def _cannot_pay(floor, saving, target):
+    """Whether inserting into target, at a delta of at least floor, plus a
+    removal that saves at most saving stays at or above -_IMPROVE_EPS.
+
+    The margin, 1e-9 of one plus the saving and the target's cost, lies
+    far above the rounding in the floor, the priced deltas and their sum,
+    and above the drop lemma's (n + 1) * 1e-12 for any number of tours a
+    solve holds."""
+    return floor >= saving - _IMPROVE_EPS + 1e-9 * (
+        1.0 + abs(saving) + abs(target.schedule.total_cost))
 
 
 def _removal_gain(instance, tour, item):

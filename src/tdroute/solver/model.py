@@ -14,6 +14,8 @@ from array import array
 from dataclasses import astuple, dataclass
 from functools import cached_property
 
+import numpy as np
+
 from ..plf import Atf, EmptyDomain, StepCost, ZERO_COST, compose
 from ..scheduler import CostModel, optimal_start, soft_window_penalty
 from ..touratf import FoldStore
@@ -86,9 +88,11 @@ class Vehicle:
 class Instance:
     """Items, vehicles, and the address-pair ATF matrix.
 
-    Action ATFs requested through ``action`` and move prices requested
-    through ``price`` are memoised on the instance; ``solve`` empties both
-    memos before it returns.
+    Action ATFs requested through ``action``, move prices requested
+    through ``price`` and tour bounds records requested through ``bounds``
+    are memoised on the instance, together with the arrays that
+    ``insertion_floors`` reads (``floor_tables``); ``solve`` empties every
+    memo before it returns.
     """
 
     def __init__(self, name, matrix, items, vehicles, horizon=None, depot=0):
@@ -107,6 +111,8 @@ class Instance:
         self._hi = None
         self._actions = {}            # action memo: recipe arguments -> Atf
         self._prices = {}             # price memo: Tour.price_key -> price
+        self._bounds = {}             # bounds memo: tour content id -> bounds record
+        self._floor_tables = None     # what insertion_floors reads of the instance
         self._contents = {}           # (vehicle content, stops, brackets) -> content id
         self.item_by_id = {it.id: it for it in self.items}
         self.item_slot = {it.id: i for i, it in enumerate(self.items)}
@@ -135,6 +141,14 @@ class Instance:
             self._fill_bounds()
         return self._hi[p * self.n_addresses + q]
 
+    def lo_matrix(self):
+        """The travel-time lower bounds as an n x n array: a view of the
+        values ``lo_travel`` reads, not a copy."""
+        if self._lo is None:
+            self._fill_bounds()
+        n = self.n_addresses
+        return np.frombuffer(self._lo).reshape(n, n)
+
     def arc_dist_cost(self, p, q):
         return self.matrix[p][q].cost.init
 
@@ -154,6 +168,20 @@ class Instance:
             value = prices[key] = pricer()
         return value
 
+    def bounds(self, tour, build):
+        """Memoised ``build(tour)`` under the tour's content id."""
+        cid = tour.content_id
+        record = self._bounds.get(cid)
+        if record is None:
+            record = self._bounds[cid] = build(tour)
+        return record
+
+    def floor_tables(self, build):
+        """Memoised ``build(self)``, the arrays ``insertion_floors`` reads."""
+        if self._floor_tables is None:
+            self._floor_tables = build(self)
+        return self._floor_tables
+
     def content_id(self, vehicle, stops, brackets):
         """An id shared by every tour with this vehicle content, stop list
         and brackets.  Ids come from one process-wide counter and are never
@@ -168,6 +196,8 @@ class Instance:
     def clear_memos(self):
         self._actions.clear()
         self._prices.clear()
+        self._bounds.clear()
+        self._floor_tables = None
         self._contents.clear()
 
 
@@ -285,7 +315,7 @@ class Tour:
             raise EmptyDomain(f"tour of vehicle {veh.id} is infeasible")
         self.stops, self.store, self.schedule = stops, store, schedule
         self._refresh_loads()
-        # price_key looks the new stop list's content id up on first use
+        # content_id looks the new stop list's id up on first use
         self._content_id = None
 
     def _refresh_loads(self):
@@ -311,11 +341,18 @@ class Tour:
         bit for bit, however their stores were grown.
         """
         inst = self.instance
-        if self._content_id is None:
-            self._content_id = inst.content_id(self.vehicle, self.stops, self.brackets)
         # one int per (tour id, item): a key tuple would take more memory
         # than many of the prices it keys
-        return self._content_id * len(inst.items) + inst.item_slot[item.id]
+        return self.content_id * len(inst.items) + inst.item_slot[item.id]
+
+    @property
+    def content_id(self):
+        """The id of the tour's (vehicle content, stops, brackets), which
+        keys its prices and its bounds record."""
+        if self._content_id is None:
+            self._content_id = self.instance.content_id(self.vehicle, self.stops,
+                                                        self.brackets)
+        return self._content_id
 
     @property
     def cost(self):

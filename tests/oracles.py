@@ -14,11 +14,13 @@ import itertools
 import math
 import struct
 import textwrap
+import time
 
 from tdroute.plf import EPS_T, Atf, EmptyDomain, StepCost, ZERO_COST, compose
 from tdroute.plf.envelope import PiecewiseLinear
 from tdroute.scheduler import ScheduleResult, ZERO_MODEL, _wt_integral, total_cost
-from tdroute.solver import construct
+from tdroute.solver import construct, localsearch
+from tdroute.solver.insertion import apply_insertion, best_insertion
 from tdroute.solver.model import FAR_FUTURE, Tour, build_actions, schedule_tour
 from tdroute.touratf import FoldStore, SegmentStore
 
@@ -577,3 +579,49 @@ def select_seeds_reference(instance):
         seeds.append(it)
         chosen.add(it.id)
     return seeds
+
+
+def relocate_pass_reference(instance, solution, max_sweeps=None, deadline=None):
+    """``relocate_pass`` without its screens: every served item's removal
+    is priced, and so is its insertion into every other tour."""
+    any_gain = False
+    sweeps = 0
+    improved = True
+    while improved:
+        improved = False
+        sweeps += 1
+        for tour in list(solution.tours):
+            if not tour.stops:
+                continue
+            for item_id in list(tour.item_ids):
+                if deadline is not None and time.monotonic() >= deadline:
+                    solution.drop_empty_tours()
+                    return any_gain
+                if not any(s.item_id == item_id for s in tour.stops):
+                    continue
+                item = instance.item_by_id[item_id]
+                gain = localsearch._removal_gain(instance, tour, item)
+                if gain is None:
+                    continue
+                removal_delta, new_stops = gain
+                best = None
+                for other in solution.tours:
+                    if other is tour or not other.stops:
+                        continue
+                    plan = best_insertion(instance, other, item)
+                    if plan is None:
+                        continue
+                    if best is None or plan.delta_cost < best[1].delta_cost - 1e-12:
+                        best = (other, plan)
+                if best is None:
+                    continue
+                other, plan = best
+                if plan.delta_cost + removal_delta < -localsearch._IMPROVE_EPS:
+                    tour.set_stops(new_stops)
+                    apply_insertion(other, item, plan)
+                    improved = True
+                    any_gain = True
+            solution.drop_empty_tours()
+        if max_sweeps is not None and sweeps >= max_sweeps:
+            break
+    return any_gain

@@ -13,6 +13,7 @@ from tdroute.bench_io import (DEFAULT_PROFILES, ParseError, evaluate_under,
                               read_instance, read_solution, serialize_instance,
                               serialize_solution, td_arc,
                               write_instance, write_solution)
+from tdroute.bench_io import cli
 from tdroute.bench_io.cli import main as cli_main
 from tdroute.bench_io.tdgen import SpeedProfile
 from tdroute.plf import StepCost, default_epsilon
@@ -410,6 +411,34 @@ class TestCli:
         lines = report.read_text().strip().splitlines()
         assert lines[0] == "instance,tours,cost,time_s"
         assert len(lines) == 3
+
+    def test_bench_exits_1_on_an_infeasible_plan(self, tmp_path, monkeypatch, capsys):
+        """A plan that validate() rejects is reported INFEASIBLE and the run
+        exits 1, after the other instances are solved and the report is
+        written."""
+        bdir = tmp_path / "instances"
+        bdir.mkdir()
+        for seed in (1, 2):
+            write_instance(make_benchmark_instance(6, seed=seed),
+                           str(bdir / f"i{seed}.txt"))
+        real = cli.validate
+        seen = []
+
+        def rejecting_first(sol, inst):
+            rep = real(sol, inst)
+            seen.append(inst.name)
+            if len(seen) == 1:
+                rep.add("stop 1 served late")
+            return rep
+
+        monkeypatch.setattr(cli, "validate", rejecting_first)
+        report = tmp_path / "report.csv"
+        rc = cli_main(["bench", str(bdir), "--iterations", "1",
+                       "--report", str(report)])
+        assert rc == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("INFEASIBLE") and out[1].endswith(" ok")
+        assert len(report.read_text().strip().splitlines()) == 3
 
     @pytest.mark.parametrize("flag", [["--workers", "1"], ["-W", "1"],
                                       ["--mode", "default"]],

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import math
 import random
 import struct
 import time
@@ -21,11 +22,11 @@ from tdroute.solver import (Infeasible, Instance, Item, SolverConfig, Solution,
 from tdroute.scheduler import CostModel
 from tdroute.solver import construct, engine, insertion, localsearch
 from tdroute.solver.insertion import (InsertionPlan, best_insertion, cheapest_by_floor,
-                                      insertion_floor)
+                                      insertion_floor, insertion_floors)
 from tdroute.solver.model import build_action, schedule_tour
 from oracles import (bits, brute_insertion, cost_bits, mutant,
-                     pair_prices_reference, select_seeds_reference,
-                     set_stops_reference)
+                     pair_prices_reference, relocate_pass_reference,
+                     select_seeds_reference, set_stops_reference)
 
 RNG = np.random.default_rng(1337)
 
@@ -505,11 +506,23 @@ class TestActionMemo:
             checked += 1
         assert checked > len(cases) // 2
 
-    def test_solve_empties_memo(self):
+    def test_solve_empties_memo(self, monkeypatch):
+        """Every memo a solve fills, the relocation bounds and the floors'
+        instance arrays included, is empty once it returns."""
         inst = grid_instance(12, seed=64)
+        filled = []
+        real = Instance.clear_memos
+
+        def recording(self):
+            filled.append((len(self._bounds), self._floor_tables is not None))
+            real(self)
+
+        monkeypatch.setattr(Instance, "clear_memos", recording)
         solve(inst, SolverConfig(seed=2, iterations=3))
+        assert filled[0][0] > 0 and filled[0][1]
         assert inst._actions == {}
         assert inst._prices == {} and inst._contents == {}
+        assert inst._bounds == {} and inst._floor_tables is None
 
     def test_solve_empties_memo_when_it_raises(self, monkeypatch):
         inst = grid_instance(12, seed=64)
@@ -882,7 +895,8 @@ class TestFloorScreen:
         assert priced[True] < priced[False]
 
     def test_a_raised_floor_is_caught(self, monkeypatch):
-        raised = mutant(insertion_floor, "+ 2.0 * pen_min", "+ 2.0 * pen_min + 1.0")
+        raised = mutant(insertion_floor, "+ _least(inst.arc(stop.address, nxt_addr).cost))",
+                        "+ _least(inst.arc(stop.address, nxt_addr).cost) + 1.0)")
         monkeypatch.setattr(insertion, "insertion_floor", raised)
         cases = _bracketed_tours(("const", "td", "stepped"), range(11, 15))
         bad, _, _ = _floor_screen_disagreements(cases, monkeypatch)
@@ -951,6 +965,193 @@ class TestFloorScreen:
         assert skipped >= 100
 
 
+def _kind_instance(kind, seed):
+    """(instance, brackets) of one kind: a planted instance with constant
+    arcs ("planted"), a time-dependent city ("td"), the same under SOFT
+    brackets ("soft"), its mixed pickup-and-delivery twin ("pd"), and the
+    city with vehicles whose capacity and duration cap bind ("capped")."""
+    if kind == "planted":
+        return make_planted_instance(30, seed=seed)[0], ()
+    base = generate_td(make_benchmark_instance(24, seed=seed),
+                       rng=np.random.default_rng(seed))
+    if kind == "pd":
+        return _mixed(base), ()
+    if kind == "capped":
+        vehicles = [dataclasses.replace(v, capacity=6.0, max_duration=4500.0)
+                    for v in base.vehicles]
+        return Instance(base.name + "_capped", base.matrix, base.items, vehicles,
+                        horizon=base.horizon, depot=base.depot), ()
+    return base, (SOFT if kind == "soft" else ())
+
+
+RELOCATION_KINDS = ("planted", "td", "soft", "pd", "capped")
+
+
+def _grown_tours(kind, seed):
+    """(instance, tour) pairs: tours of the kind's instance grown by seeded
+    cheapest insertions to several lengths."""
+    inst, brackets = _kind_instance(kind, seed)
+    rng = random.Random(seed)
+    out = []
+    for veh, n_tried in zip(inst.vehicles, (6, 10, 14)):
+        tour = Tour(inst, veh, [], brackets)
+        for item in rng.sample(inst.items, n_tried):
+            plan = best_insertion(inst, tour, item)
+            if plan is not None:
+                apply_insertion(tour, item, plan)
+        out.append((inst, tour))
+    return out
+
+
+def _relocation_bound_violations(cases):
+    """Check ``insertion_floors`` and ``removal_bound`` against the
+    exhaustive prices on each tour: every depot-pickup item outside it
+    (its floor at most the ``prune=False`` delta plus the margin, and
+    +inf only when that raises Infeasible) and every depot-pickup item in
+    it (the bound at least its removal's saving minus the margin); a
+    pickup-and-delivery item's floor is -inf and its bound +inf.  Returns
+    the violations and how many of each case were checked."""
+    bad, checked = [], collections.Counter()
+    for inst, tour in cases:
+        floors = insertion_floors(tour)
+        margin = 1e-9 * (1.0 + abs(tour.schedule.total_cost))
+        for item in inst.items:
+            floor = floors[inst.item_slot[item.id]]
+            if item.id in tour.item_ids:
+                bound = insertion.removal_bound(tour, item)
+                if not item.depot_pickup:
+                    checked["pd"] += 1
+                    if bound != math.inf:
+                        bad.append(("pd bound", tour.stops, item.id, bound))
+                    continue
+                delta = localsearch._removal_delta(tour, item)
+                if delta is not None:
+                    checked["removal"] += 1
+                    if -delta > bound + margin:
+                        bad.append(("removal", tour.stops, item.id, -delta, bound))
+                continue
+            if not item.depot_pickup:
+                checked["pd"] += 1
+                if floor != -math.inf:
+                    bad.append(("pd floor", tour.stops, item.id, floor))
+                continue
+            try:
+                delta = cheapest_insertion(inst, tour, item, prune=False).delta_cost
+            except Infeasible:
+                checked["infeasible", bool(floor == math.inf)] += 1
+                continue
+            checked["insertion"] += 1
+            if not floor <= delta + margin:
+                bad.append(("insertion", tour.stops, item.id, delta, floor))
+    return bad, checked
+
+
+def _bound_cases():
+    return [case for kind in RELOCATION_KINDS for seed in (21, 22)
+            for case in _grown_tours(kind, seed)]
+
+
+class TestRelocationBounds:
+    """The floors and bounds that relocation skips moves by are sound."""
+
+    def test_floors_and_removal_bounds_hold(self):
+        bad, checked = _relocation_bound_violations(_bound_cases())
+        assert bad == []
+        assert checked["insertion"] >= 200 and checked["removal"] >= 150, checked
+        assert checked["pd"] >= 60, checked
+        # infeasible items, with and without an infinite floor
+        assert checked["infeasible", True] >= 100, checked
+        assert checked["infeasible", False] >= 100, checked
+
+    @pytest.mark.parametrize("target,old,new", [
+        ("_insertion_floors", "+ t.least[np.ix_(t.addr, nxt)].T)",
+         "+ t.least[np.ix_(t.addr, nxt)].T + 1.0)"),
+        ("removal_bound", "return tour.schedule.total_cost - (",
+         "return tour.schedule.total_cost - 1.0 - ("),
+    ], ids=["floor-raised", "bound-lowered"])
+    def test_a_dollar_off_is_caught(self, monkeypatch, target, old, new):
+        monkeypatch.setattr(insertion, target, mutant(getattr(insertion, target), old, new))
+        bad, _ = _relocation_bound_violations(_bound_cases())
+        assert bad
+
+    def test_floors_are_the_scalar_floors(self, monkeypatch):
+        """An item's floor on a tour is at most the least ``insertion_floor``
+        over the positions that the window screen passes, and equal to it
+        bit for bit unless the loosened screen passes more."""
+        passed = []
+
+        def unpriceable(tour, pos, stop):
+            passed.append(pos)
+            raise EmptyDomain("every screened position is recorded, none priced")
+
+        monkeypatch.setattr(insertion, "eval_single_insertion", unpriceable)
+        equal = 0
+        for inst, tour in _grown_tours("soft", 21) + _grown_tours("capped", 21):
+            floors = insertion_floors(tour)
+            for item in inst.items:
+                if item.id in tour.item_ids or not item.depot_pickup:
+                    continue
+                passed.clear()
+                with pytest.raises(Infeasible):
+                    cheapest_insertion(inst, tour, item, prune=False)
+                d = item.stops()[0]
+                scalar = min((insertion_floor(tour, p, d) for p in passed), default=math.inf)
+                floor = floors[inst.item_slot[item.id]]
+                assert floor <= scalar
+                equal += bool(floor == scalar)
+        assert equal >= 100
+
+
+def _relocation_case(kind, seed, walked):
+    """A fresh instance of the kind and a regret construction on it; after
+    a walk move when walked: a seeded run torn out of a seeded tour and
+    reinserted by regret."""
+    inst, brackets = _kind_instance(kind, seed)
+    sol = regret_construct(inst, Solution(inst, brackets=brackets))
+    if walked:
+        rng = random.Random(seed)
+        tour = sol.tours[rng.randrange(len(sol.tours))]
+        runs = localsearch._item_runs(tour)
+        ids = runs[rng.randrange(len(runs))][2]
+        tour.set_stops([s for s in tour.stops if s.item_id not in ids])
+        sol.drop_empty_tours()
+        regret_construct(inst, sol, items=[inst.item_by_id[i] for i in ids])
+    return inst, sol
+
+
+class TestRelocationScreen:
+    def test_pass_equals_the_exhaustive_pass(self, monkeypatch):
+        """On seeded solutions of every kind, after construction and after a
+        walk move, ``relocate_pass`` leaves the same stop lists and
+        unserved items and returns the same as pricing every move, and it
+        calls ``cheapest_insertion`` fewer times."""
+        calls = collections.Counter()
+        real = insertion.cheapest_insertion
+
+        def counted(*args, **kwargs):
+            calls["now"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(insertion, "cheapest_insertion", counted)
+        gained = 0
+        for kind in RELOCATION_KINDS:
+            for seed in (31, 32):
+                for walked in (False, True):
+                    out = {}
+                    for name, relocate in (("reference", relocate_pass_reference),
+                                           ("screened", relocate_pass)):
+                        inst, sol = _relocation_case(kind, seed, walked)
+                        before = calls["now"]
+                        got = relocate(inst, sol)
+                        calls[name] += calls["now"] - before
+                        out[name] = (got, [(t.vehicle.id, t.stops) for t in sol.tours],
+                                     sol.unserved)
+                    assert out["screened"] == out["reference"], (kind, seed, walked)
+                    gained += out["screened"][0]
+        assert gained >= 8
+        assert calls["screened"] < calls["reference"], calls
+
+
 def _validated_cost(inst, tour):
     """The tour's schedule cost as ``validate`` recomputes it."""
     others = {it.id for it in inst.items} - set(tour.item_ids)
@@ -1005,6 +1206,19 @@ class TestFromScratch:
             return delta
 
         monkeypatch.setattr(localsearch, "_removal_delta", removal)
+        # relocation prices only the removals that can pay; so that the
+        # sample holds every removal it could price, each pass first
+        # prices the removal of every item its solution serves
+        real_relocate = localsearch.relocate_pass
+
+        def pricing_every_removal(instance, solution, *args, **kwargs):
+            for tour in solution.tours:
+                for item_id in tour.item_ids:
+                    localsearch._removal_gain(instance, tour, instance.item_by_id[item_id])
+            return real_relocate(instance, solution, *args, **kwargs)
+
+        monkeypatch.setattr(localsearch, "relocate_pass", pricing_every_removal)
+        monkeypatch.setattr(engine, "relocate_pass", pricing_every_removal)
         inst = _mixed_td_instance(10, 7)
         solve(inst, SolverConfig(seed=2, iterations=4, soft_brackets=brackets))
 
